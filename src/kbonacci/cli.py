@@ -25,13 +25,10 @@ from .prover import (
     CASE_LABELS,
     Certificate,
     ProductMatrix,
-    base_charpoly,
-    build_matrix,
     certify_divisibility,
     identity_coefficients,
-    stride_charpoly,
 )
-from .sequences import IdentityReport, check_identity, kbonacci, random_kbonacci
+from .sequences import check_identity, kbonacci, random_kbonacci
 from .triangles import coeff_rows, diff_rows
 
 FORMATS = ("tsv", "markdown", "json")
@@ -53,7 +50,7 @@ def _tsv_rows(rows: list[list[str]]) -> list[str]:
     return ["\t".join(row) for row in rows]
 
 
-def _identity_text(k: int, coefficients: list[int], stride: int) -> str:
+def _identity_text(coefficients: list[int], stride: int) -> str:
     terms = " ".join(
         f"{'-' if c < 0 else '+'} {abs(c)}*F(n-{stride * i})"
         for i, c in enumerate(coefficients, start=1)
@@ -110,7 +107,7 @@ def _certificate_fields(cert: Certificate) -> list[tuple[str, str]]:
     tallies = ", ".join(
         f"{label} {t.passed}/{t.total}" for label, t in cert.case_tallies.items()
     )
-    identity = _identity_text(cert.k, identity_coefficients(cert.k), cert.k)
+    identity = _identity_text(recurrence_coefficients(cert.stride_poly), cert.k)
     verdict = "PASS" if cert.ok else "FAIL"
     return [
         ("order", str(cert.k)),
@@ -130,7 +127,7 @@ def _certificate_fields(cert: Certificate) -> list[tuple[str, str]]:
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     cert = certify_divisibility(args.k)
-    matrix = build_matrix(args.k) if args.show_matrix else None
+    matrix = cert.matrix if args.show_matrix else None
     if args.format == "json":
         doc = {
             "k": cert.k,
@@ -217,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"# Identity check, order {k}")
         print()
         print(f"- sequence: {source}")
-        print(f"- identity: {_identity_text(k, coefficients, k)}")
+        print(f"- identity: {_identity_text(coefficients, k)}")
         print(f"- range: n in [{args.n_from}, {args.n_to}], {report.checked} indices")
         print()
         header = [f"residue mod {k}", "checked", "failed"]
@@ -252,6 +249,8 @@ def _parse_charpoly(text: str) -> IntPoly:
 
 
 def _cmd_decimate(args: argparse.Namespace) -> int:
+    if args.stride < 1:
+        raise _UsageError("--stride must be >= 1")
     poly = _parse_charpoly(args.charpoly)
     decimated = decimated_charpoly(poly, args.stride)
     coefficients = recurrence_coefficients(decimated)
@@ -285,8 +284,9 @@ def _cmd_decimate(args: argparse.Namespace) -> int:
 
 def _sweep_row(k: int) -> dict:
     cert = certify_divisibility(k)
-    oracle_ok = decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k)
-    numeric = check_identity(kbonacci(k), identity_coefficients(k), k, -20, 60)
+    oracle_ok = decimated_charpoly(cert.base_poly, k) == cert.stride_poly
+    coefficients = recurrence_coefficients(cert.stride_poly)
+    numeric = check_identity(kbonacci(k), coefficients, k, -20, 60)
     return {
         "k": k,
         "divisibility": cert.division_matches and cert.product_matches,
@@ -424,8 +424,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (_UsageError, NegativeRow, NotMonic, OrderTooSmall) as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")  # parser.error always exits
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 def run() -> None:

@@ -102,15 +102,11 @@ def matrix_power(m: IntMatrix, e: int) -> IntMatrix:
     """Exact e-th power by repeated squaring, e >= 1."""
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
-    result = None
-    square = m
-    while e:
-        if e & 1:
-            result = square if result is None else result @ square
-        e >>= 1
-        if e:
-            square = square @ square
-    assert result is not None
+    result = m
+    for bit in bin(e)[3:]:  # the bits of e after its leading 1
+        result = result @ result
+        if bit == "1":
+            result = result @ m
     return result
 
 
@@ -119,35 +115,25 @@ def char_poly(m: IntMatrix) -> IntPoly:
 
     Each Bareiss update divides by the previous pivot; the division is
     exact as a determinant identity, so the computation never leaves
-    Z[X].  Zero pivots are handled by row swaps (sign-tracked); a fully
-    zero pivot column means a zero determinant.
+    Z[X].  Pivot r is the leading (r+1) x (r+1) principal minor of
+    X*I - m, a monic polynomial of degree r+1, so no pivot is ever zero.
     """
     n = m.n
-    a: list[list[IntPoly]] = [
-        [
-            IntPoly((-m.entries[i][j], 1)) if i == j else IntPoly((-m.entries[i][j],))
-            for j in range(n)
-        ]
-        for i in range(n)
+    a = [
+        [IntPoly((-v, 1) if i == j else (-v,)) for j, v in enumerate(row)]
+        for i, row in enumerate(m.entries)
     ]
-    sign = 1
     prev = IntPoly.one()
     for r in range(n - 1):
-        if a[r][r].is_zero():
-            swap = next((i for i in range(r + 1, n) if not a[i][r].is_zero()), None)
-            if swap is None:
-                return IntPoly.zero()
-            a[r], a[swap] = a[swap], a[r]
-            sign = -sign
         for i in range(r + 1, n):
             for j in range(r + 1, n):
                 numerator = a[i][j] * a[r][r] - a[i][r] * a[r][j]
                 quotient, residue = divmod(numerator, prev)
-                assert residue.is_zero(), "fraction-free step must divide exactly"
+                if not residue.is_zero():
+                    raise ArithmeticError(f"inexact Bareiss step r={r}, i={i}, j={j}")
                 a[i][j] = quotient
         prev = a[r][r]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return a[n - 1][n - 1]
 
 
 def decimated_charpoly(charpoly: IntPoly, stride: int) -> IntPoly:

@@ -24,6 +24,9 @@ closed-form column sum (a triangle recursion step, a telescoping
 difference, a power-of-two identity, or a four-group cancellation);
 verify_case_sums recomputes every column's sum from the closed form of
 its family rather than by adding the column.
+
+Functions that read triangle entries take the table rows = coeff_rows(k)
+and work out k as len(rows) - 1, so each certificate builds it once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterable
 
 from .errors import ColumnOutOfRange, EmptyCoefficients, OrderTooSmall
 from .intpoly import IntPoly
-from .triangles import coeff_entry, coeff_row, coeff_rows, diff_rows
+from .triangles import coeff_entry, coeff_row, coeff_rows, diff_entry
 
 CASE_LABELS = ("A", "B", "C", "D", "E")
 
@@ -77,17 +80,17 @@ def stride_charpoly(k: int) -> IntPoly:
     return identity_charpoly(identity_coefficients(k))
 
 
-def quotient_poly(k: int) -> IntPoly:
-    """The explicit quotient stride_charpoly(k)(X**k) / base_charpoly(k).
+def quotient_poly(rows: list[list[int]]) -> IntPoly:
+    """The explicit quotient stride_charpoly(k)(X**k) / base_charpoly(k),
+    read from rows = coeff_rows(k).
 
     Degree k*(k-1).  Assembled directly from triangle entries: a leading
     X**(k*(k-1)) plus, for each block j in 0..k-2, a coefficient-triangle
     term at X**(k*j) and difference-triangle terms just above it.  Its
     integrality in Z[X] is the crux of the certificate.
     """
+    k = len(rows) - 1
     _require_order(k)
-    rows = coeff_rows(k - 1)
-    drows = diff_rows(k - 1)
     n = k * (k - 1)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -95,7 +98,7 @@ def quotient_poly(k: int) -> IntPoly:
         col = k - 1 - j
         coeffs[k * j] += -rows[k - 1][col]
         for i in range(col, k):
-            coeffs[k * j + (k - i)] += drows[i][col]
+            coeffs[k * j + (k - i)] += diff_entry(rows, i, col)
     return IntPoly(coeffs)
 
 
@@ -143,24 +146,21 @@ class ProductMatrix:
         return tuple(f"X^{r}" for r in range(self.k)) + (f"-X^{self.k}",)
 
 
-def build_matrix(k: int) -> ProductMatrix:
-    """Product matrix of (-base_charpoly(k)) * quotient_poly(k)."""
-    _require_order(k)
-    quotient = quotient_poly(k)
+def build_matrix(rows: list[list[int]]) -> ProductMatrix:
+    """Product matrix of (-base_charpoly(k)) * quotient_poly(rows), read
+    from rows = coeff_rows(k)."""
+    k = len(rows) - 1
+    quotient = quotient_poly(rows)
     width = k * k + 1
-    rows = []
-    for r in range(k):
+    cells = []
+    for r, poly in [(r, quotient) for r in range(k)] + [(k, -quotient)]:
         row = [0] * width
-        for e, c in enumerate(quotient):
+        for e, c in enumerate(poly):
             row[e + r] = c
-        rows.append(tuple(row))
-    last = [0] * width
-    for e, c in enumerate(quotient):
-        last[e + k] = -c
-    rows.append(tuple(last))
-    sums = tuple(sum(col) for col in zip(*rows))
+        cells.append(tuple(row))
+    sums = tuple(sum(col) for col in zip(*cells))
     cases = tuple(classify_column(k, c) for c in range(width))
-    return ProductMatrix(k, tuple(rows), cases, sums)
+    return ProductMatrix(k, tuple(cells), cases, sums)
 
 
 def symbolic_matrix(k: int) -> list[list[str]]:
@@ -199,8 +199,9 @@ def symbolic_matrix(k: int) -> list[list[str]]:
     return out
 
 
-def case_e_group_sums(k: int, c: int) -> tuple[int, int, int, int]:
-    """The four group sums whose cancellation settles an E column.
+def case_e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int]:
+    """The four group sums whose cancellation settles E column c, read
+    from rows = coeff_rows(k).
 
     In order: the lone coefficient-triangle term descending from the
     block's multiple-of-k column; the negated difference entry descending
@@ -208,40 +209,42 @@ def case_e_group_sums(k: int, c: int) -> tuple[int, int, int, int]:
     telescoped; and the difference entries descending from the previous
     block's row 0, telescoped (empty when m = j).  The four add to zero.
     """
+    k = len(rows) - 1
     if classify_column(k, c) != "E":
         raise ValueError(f"column {c} of order {k} is not an E column")
     j, m = divmod(c, k)
-    lead = -coeff_entry(k - 1, k - 1 - j)
-    crossing = -(coeff_entry(k - m, k - j) - coeff_entry(k - m - 1, k - j))
-    block = coeff_entry(k - 1, k - j - 1) - coeff_entry(k - m - 1, k - j - 1)
-    tail = coeff_entry(k - m - 1, k - j)
+    lead = -coeff_entry(rows, k - 1, k - 1 - j)
+    crossing = -diff_entry(rows, k - m, k - j)
+    block = coeff_entry(rows, k - 1, k - j - 1) - coeff_entry(rows, k - m - 1, k - j - 1)
+    tail = coeff_entry(rows, k - m - 1, k - j)
     return (lead, crossing, block, tail)
 
 
-def expected_column_sum(k: int, c: int) -> int:
+def expected_column_sum(rows: list[list[int]], c: int) -> int:
     """Column sum predicted by the column's case argument, not by adding
-    the column."""
+    the column; entries are read from rows = coeff_rows(k)."""
+    k = len(rows) - 1
     label = classify_column(k, c)
     if label == "A":
         # column 0 holds only the quotient's constant term; column k*k
         # only the negated leading term
-        return coeff_entry(k, k) if c == 0 else -1
+        return coeff_entry(rows, k, k) if c == 0 else -1
     j, m = divmod(c, k)
     if label == "B":
         # head term plus the telescoped difference column cancel exactly
         col = k - 1 - j
-        head = -coeff_entry(k - 1, col)
-        telescoped = coeff_entry(k - 1, col)
+        head = -coeff_entry(rows, k - 1, col)
+        telescoped = coeff_entry(rows, k - 1, col)
         return head + telescoped
     if label == "C":
         # one triangle recursion step: equals C[k][k-j]
-        return 2 * coeff_entry(k - 1, k - j) - coeff_entry(k - 1, k - j - 1)
+        return 2 * coeff_entry(rows, k - 1, k - j) - coeff_entry(rows, k - 1, k - j - 1)
     if label == "D":
         # geometric sums of powers of two
         if m == 0:
             return 1 + (2 ** (k - 1) - 1) + (2 ** (k - 1) - 1)
         return 1 + (2 ** (k - 1 - m) - 1) - 2 ** (k - m - 1)
-    return sum(case_e_group_sums(k, c))
+    return sum(case_e_group_sums(rows, c))
 
 
 @dataclass(frozen=True)
@@ -257,17 +260,19 @@ class CaseTally:
         return self.passed + self.failed
 
 
-def verify_case_sums(k: int) -> dict[str, CaseTally]:
-    """Check every column three ways: case closed form == actual column sum
-    == matching coefficient of -stride_charpoly(X**k)."""
-    matrix = build_matrix(k)
-    target = -(stride_charpoly(k).compose_power(k))
+def verify_case_sums(
+    rows: list[list[int]], matrix: ProductMatrix, composed: IntPoly
+) -> dict[str, CaseTally]:
+    """Check every column of matrix three ways: case closed form (read from
+    rows = coeff_rows(k)) == actual column sum == matching coefficient of
+    -composed, where composed is stride_charpoly(k)(X**k)."""
+    k = len(rows) - 1
     passed = {label: 0 for label in CASE_LABELS}
     failed: dict[str, list[int]] = {label: [] for label in CASE_LABELS}
     for c in range(k * k + 1):
         label = matrix.column_cases[c]
-        expected = expected_column_sum(k, c)
-        if expected == matrix.column_sums[c] == target.coeff(c):
+        expected = expected_column_sum(rows, c)
+        if expected == matrix.column_sums[c] == -composed.coeff(c):
             passed[label] += 1
         else:
             failed[label].append(c)
@@ -284,7 +289,7 @@ class Certificate:
     division_matches: long division of stride_charpoly(X**k) by the base
     polynomial left remainder 0 and returned the explicit quotient.
     product_matches: (-base) * quotient re-multiplied to
-    -stride_charpoly(X**k).  matrix_verified: every product-matrix column
+    -stride_charpoly(X**k).  matrix_verified: every column of matrix
     passed its case check.  Double-entry on purpose: a bug in either
     multiplication or division cannot slip through both.
     """
@@ -298,6 +303,7 @@ class Certificate:
     product_matches: bool
     matrix_verified: bool
     case_tallies: dict[str, CaseTally]
+    matrix: ProductMatrix
 
     @property
     def ok(self) -> bool:
@@ -306,13 +312,16 @@ class Certificate:
 
 def certify_divisibility(k: int) -> Certificate:
     """Run the full certificate for one order; failures are recorded in
-    the result, not raised."""
+    the result, not raised.  The triangle is built once, as coeff_rows(k),
+    and every later step reads from that table."""
     base = base_charpoly(k)
-    stride = stride_charpoly(k)
-    quotient = quotient_poly(k)
+    rows = coeff_rows(k)
+    stride = identity_charpoly(rows[k][1:])
+    quotient = quotient_poly(rows)
     composed = stride.compose_power(k)
     division_quotient, remainder = divmod(composed, base)
-    tallies = verify_case_sums(k)
+    matrix = build_matrix(rows)
+    tallies = verify_case_sums(rows, matrix, composed)
     return Certificate(
         k=k,
         base_poly=base,
@@ -323,4 +332,5 @@ def certify_divisibility(k: int) -> Certificate:
         product_matches=(-base) * quotient == -composed,
         matrix_verified=all(t.failed == 0 for t in tallies.values()),
         case_tallies=tallies,
+        matrix=matrix,
     )

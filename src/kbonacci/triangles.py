@@ -17,6 +17,9 @@ D[i][j] = C[i][j] - C[i-1][j] (row 0 is all zeros).  Its entries assemble
 the explicit quotient polynomial used by the divisibility certificate in
 `prover`.
 
+Callers build the rows of C once with coeff_rows; coeff_entry and
+diff_entry read single entries of either triangle from that table.
+
 Both triangles admit independent closed-form constructions (binomial
 expansions of shifted powers); those live here as cross-checks against
 the recursion.
@@ -63,23 +66,22 @@ def diff_row(n: int) -> list[int]:
     return diff_rows(n)[n]
 
 
-def coeff_entry(i: int, j: int) -> int:
-    """C[i][j], with 0 outside 0 <= j <= i (the sums in `prover` rely on
-    vanishing boundary terms)."""
+def coeff_entry(rows: list[list[int]], i: int, j: int) -> int:
+    """C[i][j] read from rows = coeff_rows(n), n >= i, with 0 outside
+    0 <= j <= i (the sums in `prover` rely on vanishing boundary terms)."""
     if i < 0:
         raise NegativeRow(f"row {i} is negative")
     if j < 0 or j > i:
         return 0
-    return coeff_row(i)[j]
+    return rows[i][j]
 
 
-def diff_entry(i: int, j: int) -> int:
-    """D[i][j], with 0 outside 0 <= j <= i."""
-    if i < 0:
-        raise NegativeRow(f"row {i} is negative")
-    if j < 0 or j > i:
+def diff_entry(rows: list[list[int]], i: int, j: int) -> int:
+    """D[i][j] = C[i][j] - C[i-1][j] read from rows = coeff_rows(n), n >= i,
+    with 0 outside 0 <= j <= i (row 0 is all zeros)."""
+    if i == 0:
         return 0
-    return diff_row(i)[j]
+    return coeff_entry(rows, i, j) - coeff_entry(rows, i - 1, j)
 
 
 def coeff_row_from_charpoly(k: int) -> list[int]:
@@ -117,4 +119,5 @@ def column_one_closed_form(n: int) -> bool:
     """True iff C[n][1] == 2**n - 1 and D[n][1] == 2**(n-1)."""
     if n < 1:
         raise NegativeRow(f"closed form needs row >= 1, got {n}")
-    return coeff_entry(n, 1) == 2**n - 1 and diff_entry(n, 1) == 2 ** (n - 1)
+    rows = coeff_rows(n)
+    return coeff_entry(rows, n, 1) == 2**n - 1 and diff_entry(rows, n, 1) == 2**(n - 1)

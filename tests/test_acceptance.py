@@ -124,14 +124,14 @@ def test_criterion_02_order_five_quotient():
         expected = [0] * 21
         for exponent, value in QUOTIENT_5_TERMS.items():
             expected[exponent] = value
-        assert quotient_poly(5) == IntPoly(expected)
+        assert quotient_poly(coeff_rows(5)) == IntPoly(expected)
 
 
 def test_criterion_03_symbolic_certification():
     with criterion(3, "symbolic certification, orders 2..25", 30.0):
         for k in range(2, 26):
             base = base_charpoly(k)
-            quotient = quotient_poly(k)
+            quotient = quotient_poly(coeff_rows(k))
             composed = stride_charpoly(k).compose_power(k)
             assert (-base) * quotient == -composed, k
             assert divmod(composed, base) == (quotient, IntPoly.zero()), k
@@ -140,12 +140,12 @@ def test_criterion_03_symbolic_certification():
 def test_criterion_04_matrix_verification():
     with criterion(4, "product-matrix verification, orders 2..12", 10.0):
         for k in range(2, 13):
-            matrix = build_matrix(k)
+            matrix = build_matrix(coeff_rows(k))
             target = -(stride_charpoly(k).compose_power(k))
             assert list(matrix.column_sums) == [
                 target.coeff(c) for c in range(k * k + 1)
             ], k
-        matrix5 = build_matrix(5)
+        matrix5 = build_matrix(coeff_rows(5))
         assert [list(row) for row in matrix5.rows] == MATRIX_5
         assert list(matrix5.column_sums) == MATRIX_5_SUMS
         assert "".join(matrix5.column_cases) == CASES_5
@@ -154,7 +154,9 @@ def test_criterion_04_matrix_verification():
 def test_criterion_05_case_proof_checker():
     with criterion(5, "closed-form case checks, orders 2..12", 10.0):
         for k in range(2, 13):
-            tallies = verify_case_sums(k)
+            rows = coeff_rows(k)
+            composed = stride_charpoly(k).compose_power(k)
+            tallies = verify_case_sums(rows, build_matrix(rows), composed)
             assert all(tally.failed == 0 for tally in tallies.values()), (k, tallies)
             assert sum(tally.passed for tally in tallies.values()) == k * k + 1
 
@@ -200,10 +202,11 @@ def test_criterion_09_closed_forms():
     with criterion(9, "triangle closed forms and telescoping", 10.0):
         assert all(column_one_closed_form(n) for n in range(1, 65))
         for k in range(1, 31):
-            assert -coeff_entry(k - 1, k - 1) == coeff_entry(k, k), k
+            rows = coeff_rows(k)
+            assert -coeff_entry(rows, k - 1, k - 1) == coeff_entry(rows, k, k), k
         for c in range(31):
             for r in range(c):
-                assert diff_entry(r, c) == 0, (r, c)
+                assert diff_entry(coeff_rows(r), r, c) == 0, (r, c)
         crows = coeff_rows(30)
         drows = diff_rows(30)
 

@@ -1,10 +1,14 @@
 """Tests for the command-line interface: formats, exit codes, golden files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kbonacci
 from kbonacci import cli
 from kbonacci.cli import main
 from kbonacci.sequences import IdentityReport
@@ -127,6 +131,7 @@ class TestProve:
             product_matches=cert.product_matches,
             matrix_verified=cert.matrix_verified,
             case_tallies=cert.case_tallies,
+            matrix=cert.matrix,
         )
         monkeypatch.setattr(cli, "certify_divisibility", lambda k: broken)
         code, out = run_cli(capsys, "prove", "--k", "2")
@@ -196,6 +201,20 @@ class TestDecimate:
         with pytest.raises(SystemExit) as excinfo:
             main(["decimate", "--charpoly", "1,x,-1", "--stride", "2"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_stride_below_one_is_usage_error(self, stride):
+        argv = ["decimate", "--charpoly", "1,-1,-1", "--stride", stride]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kbonacci", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(kbonacci.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["kbonacci: error: --stride must be >= 1"]
+        assert "Traceback" not in proc.stderr
 
 
 class TestSweep:

@@ -92,6 +92,19 @@ class TestCharPoly:
         poly = base_charpoly(3)
         assert char_poly(companion_matrix(poly)) == poly
 
+    def test_inexact_step_raises(self, monkeypatch):
+        # a division that leaves a residue must stop the elimination, also
+        # under python -O
+        exact = IntPoly.__divmod__
+
+        def inexact(self, other):
+            quotient, residue = exact(self, other)
+            return quotient, residue + IntPoly.one()
+
+        monkeypatch.setattr(IntPoly, "__divmod__", inexact)
+        with pytest.raises(ArithmeticError, match=r"r=0, i=1, j=1"):
+            char_poly(companion_matrix(base_charpoly(3)))
+
     @pytest.mark.parametrize("degree", range(2, 13))
     def test_companion_round_trip_all_degrees(self, degree):
         poly = base_charpoly(degree)

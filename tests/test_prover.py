@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from kbonacci import prover, triangles
 from kbonacci.errors import ColumnOutOfRange, EmptyCoefficients, OrderTooSmall
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import (
@@ -21,7 +22,7 @@ from kbonacci.prover import (
     symbolic_matrix,
     verify_case_sums,
 )
-from kbonacci.triangles import coeff_entry, diff_entry
+from kbonacci.triangles import coeff_entry, coeff_rows, diff_entry
 
 # Ascending coefficients of the order-5 quotient (degree 20, 13 nonzero terms).
 QUOTIENT_5 = IntPoly(
@@ -53,22 +54,25 @@ class TestPolynomials:
         assert str(stride_charpoly(k)) == text
 
     def test_quotient_poly_order_two(self):
-        assert quotient_poly(2) == IntPoly((-1, 1, 1))  # X^2 + X - 1
+        assert quotient_poly(coeff_rows(2)) == IntPoly((-1, 1, 1))  # X^2 + X - 1
 
     def test_quotient_poly_order_three(self):
         # brute-force long division is the oracle for the assembled quotient
         composed = stride_charpoly(3).compose_power(3)
         division_quotient, remainder = divmod(composed, base_charpoly(3))
         assert remainder.is_zero()
-        assert quotient_poly(3) == division_quotient
-        assert str(quotient_poly(3)) == "X^6+X^5+2X^4-3X^3-X+1"
+        assert quotient_poly(coeff_rows(3)) == division_quotient
+        assert str(quotient_poly(coeff_rows(3))) == "X^6+X^5+2X^4-3X^3-X+1"
 
     def test_quotient_poly_order_five(self):
-        assert quotient_poly(5) == QUOTIENT_5
+        assert quotient_poly(coeff_rows(5)) == QUOTIENT_5
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_order_too_small(self, k):
-        for fn in (base_charpoly, stride_charpoly, quotient_poly, identity_coefficients):
+        def quotient(k):
+            return quotient_poly(coeff_rows(k))
+
+        for fn in (base_charpoly, stride_charpoly, quotient, identity_coefficients):
             with pytest.raises(OrderTooSmall):
                 fn(k)
 
@@ -125,7 +129,7 @@ class TestClassification:
 
 class TestMatrix:
     def test_order_two_matrix(self):
-        matrix = build_matrix(2)
+        matrix = build_matrix(coeff_rows(2))
         assert matrix.rows == (
             (-1, 1, 1, 0, 0),
             (0, -1, 1, 1, 0),
@@ -134,20 +138,20 @@ class TestMatrix:
         assert matrix.column_sums == (-1, 0, 3, 0, -1)
 
     def test_order_five_first_row(self):
-        matrix = build_matrix(5)
+        matrix = build_matrix(coeff_rows(5))
         assert matrix.rows[0][:15] == (
             1, -1, 0, 0, 0, -7, 6, 1, 0, 0, 17, -12, -4, -1, 0,
         )
 
     def test_order_five_sum_row_at_block_columns(self):
-        matrix = build_matrix(5)
+        matrix = build_matrix(coeff_rows(5))
         assert [matrix.column_sums[c] for c in (0, 5, 10, 15, 20, 25)] == [
             1, -9, 31, -49, 31, -1,
         ]
 
     def test_column_sums_reproduce_composed_polynomial(self):
         for k in range(2, 13):
-            matrix = build_matrix(k)
+            matrix = build_matrix(coeff_rows(k))
             target = -(stride_charpoly(k).compose_power(k))
             assert list(matrix.column_sums) == [
                 target.coeff(c) for c in range(k * k + 1)
@@ -155,16 +159,17 @@ class TestMatrix:
 
     def test_block_column_sums_are_triangle_entries(self):
         for k in range(2, 11):
-            matrix = build_matrix(k)
+            rows = coeff_rows(k)
+            matrix = build_matrix(rows)
             for j in range(k):
-                assert matrix.column_sums[j * k] == coeff_entry(k, k - j)
+                assert matrix.column_sums[j * k] == coeff_entry(rows, k, k - j)
             assert matrix.column_sums[k * k] == -1
 
 
 LABEL = re.compile(r"^(-?)([CD])\((\d+),(\d+)\)$")
 
 
-def resolve_label(label: str) -> int:
+def resolve_label(rows: list[list[int]], label: str) -> int:
     if label == "":
         return 0
     if label == "1":
@@ -175,7 +180,7 @@ def resolve_label(label: str) -> int:
     assert match, f"unparseable cell label {label!r}"
     sign = -1 if match.group(1) else 1
     lookup = coeff_entry if match.group(2) == "C" else diff_entry
-    return sign * lookup(int(match.group(3)), int(match.group(4)))
+    return sign * lookup(rows, int(match.group(3)), int(match.group(4)))
 
 
 class TestSymbolicMatrix:
@@ -193,32 +198,37 @@ class TestSymbolicMatrix:
 
     def test_labels_resolve_to_numeric_matrix(self):
         for k in range(2, 9):
-            numeric = build_matrix(k)
+            rows = coeff_rows(k)
+            numeric = build_matrix(rows)
             cells = symbolic_matrix(k)
             for r in range(k + 1):
                 for c in range(k * k + 1):
-                    assert resolve_label(cells[r][c]) == numeric.rows[r][c], (
+                    assert resolve_label(rows, cells[r][c]) == numeric.rows[r][c], (
                         k, r, c, cells[r][c],
                     )
 
 
 class TestCaseSums:
     def test_order_five_expected_values(self):
-        assert expected_column_sum(5, 0) == 1  # equals C[5][5]
-        assert expected_column_sum(5, 15) == -49
-        assert expected_column_sum(5, 16) == 0
+        rows = coeff_rows(5)
+        assert expected_column_sum(rows, 0) == 1  # equals C[5][5]
+        assert expected_column_sum(rows, 15) == -49
+        assert expected_column_sum(rows, 16) == 0
 
     def test_order_five_group_decomposition(self):
-        assert case_e_group_sums(5, 16) == (-15, 12, 8, -5)
-        assert case_e_group_sums(5, 6) == (-7, 1, 6, 0)
+        rows = coeff_rows(5)
+        assert case_e_group_sums(rows, 16) == (-15, 12, 8, -5)
+        assert case_e_group_sums(rows, 6) == (-7, 1, 6, 0)
 
     def test_group_sums_only_for_e_columns(self):
         with pytest.raises(ValueError):
-            case_e_group_sums(5, 5)
+            case_e_group_sums(coeff_rows(5), 5)
 
     def test_no_failures_up_to_order_twelve(self):
         for k in range(2, 13):
-            tallies = verify_case_sums(k)
+            rows = coeff_rows(k)
+            composed = stride_charpoly(k).compose_power(k)
+            tallies = verify_case_sums(rows, build_matrix(rows), composed)
             assert all(t.failed == 0 for t in tallies.values()), (k, tallies)
             assert sum(t.passed for t in tallies.values()) == k * k + 1
 
@@ -235,13 +245,28 @@ class TestCertificate:
         assert cert.ok
         assert cert.quotient == QUOTIENT_5
 
+    @pytest.mark.parametrize("k", [2, 5, 12, 25])
+    def test_builds_one_triangle(self, k, monkeypatch):
+        calls = []
+
+        def counting_coeff_rows(n):
+            calls.append(n)
+            return coeff_rows(n)
+
+        # triangles' own global too, so builds through coeff_row count
+        for module in (prover, triangles):
+            monkeypatch.setattr(module, "coeff_rows", counting_coeff_rows)
+        assert certify_divisibility(k).ok
+        assert calls == [k]
+
     def test_order_twenty_five(self):
-        assert certify_divisibility(25).ok
+        for k in (25, 40, 60):
+            assert certify_divisibility(k).ok, k
 
     def test_product_and_division_both_directions(self):
         for k in range(2, 13):
             base = base_charpoly(k)
-            quotient = quotient_poly(k)
+            quotient = quotient_poly(coeff_rows(k))
             composed = stride_charpoly(k).compose_power(k)
             assert (-base) * quotient == -composed
             assert divmod(composed, base) == (quotient, IntPoly.zero())

@@ -60,25 +60,27 @@ class TestRows:
 
 class TestEntries:
     def test_interior_entries(self):
-        assert coeff_entry(3, 2) == -5
-        assert diff_entry(5, 3) == 24
-        assert diff_entry(4, 1) == 8
+        rows = coeff_rows(5)
+        assert coeff_entry(rows, 3, 2) == -5
+        assert diff_entry(rows, 5, 3) == 24
+        assert diff_entry(rows, 4, 1) == 8
 
     def test_outside_triangle_is_zero(self):
-        assert coeff_entry(5, 7) == 0
-        assert coeff_entry(2, -1) == 0
-        assert diff_entry(2, 3) == 0
+        rows = coeff_rows(5)
+        assert coeff_entry(rows, 5, 7) == 0
+        assert coeff_entry(rows, 2, -1) == 0
+        assert diff_entry(rows, 2, 3) == 0
 
     def test_negative_row_rejected(self):
         with pytest.raises(NegativeRow):
-            coeff_entry(-1, 0)
+            coeff_entry(coeff_rows(5), -1, 0)
         with pytest.raises(NegativeRow):
-            diff_entry(-3, 1)
+            diff_entry(coeff_rows(5), -3, 1)
 
     def test_diff_vanishes_above_diagonal(self):
         for c in range(31):
             for r in range(c):
-                assert diff_entry(r, c) == 0
+                assert diff_entry(coeff_rows(r), r, c) == 0
 
 
 class TestAlternateConstructions:
@@ -124,7 +126,8 @@ class TestClosedForms:
     def test_diagonal_negation(self):
         # -C[k-1][k-1] == C[k][k]
         for k in range(1, 31):
-            assert -coeff_entry(k - 1, k - 1) == coeff_entry(k, k)
+            rows = coeff_rows(k)
+            assert -coeff_entry(rows, k - 1, k - 1) == coeff_entry(rows, k, k)
 
 
 class TestTelescoping:
