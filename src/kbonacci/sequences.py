@@ -1,8 +1,11 @@
 """Monic integer linear recurrences, evaluable forward and backward.
 
 A LinearRecurrence is a(n) = sum_{i=1..k} coefficients[i-1] * a(n-i) with
-k seed values starting at a base index.  Windows may extend below the
-base: the recurrence is solved backward,
+k seed values starting at a base index.  A window is built in flat lists.
+Forward, each step groups the lags that share a coefficient, so it does one
+multiplication per distinct nonzero coefficient (the k-step family: one
+sum of the last k values).  Windows may extend below the base: the
+recurrence is solved backward from the k values above,
 
     a(n) = (a(n+k) - sum_{i<k} coefficients[i-1] * a(n+k-i)) / coefficients[k-1],
 
@@ -11,16 +14,20 @@ case for the k-step Fibonacci family).  A non-exact backward step raises
 instead of switching to rationals.
 
 check_identity verifies a strided self-similarity identity
-a(n) = sum_j coeffs[j] * a(n - stride*(j+1)) exactly over an index range.
+a(n) = sum_j coeffs[j] * a(n - stride*(j+1)) over an index range, comparing
+every index exactly against a strided slice of the materialized window.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
+    EmptyCoefficients,
     NonIntegralBackwardStep,
     OrderTooSmall,
     WindowTooNarrow,
@@ -59,7 +66,7 @@ class LinearRecurrence:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
         object.__setattr__(self, "initial", tuple(self.initial))
         if not self.coefficients:
-            raise ValueError("a recurrence needs at least one coefficient")
+            raise EmptyCoefficients("a recurrence needs at least one coefficient")
         if len(self.coefficients) != len(self.initial):
             raise ValueError(
                 f"{len(self.coefficients)} coefficients need "
@@ -71,32 +78,39 @@ class LinearRecurrence:
         return len(self.coefficients)
 
     def window(self, lo: int, hi: int) -> SequenceWindow:
-        """Values at indices lo..hi, extending in both directions as needed."""
+        """Values at indices lo..hi, extending in both directions as needed.
+
+        List-backed; a forward step does one multiplication per distinct
+        nonzero coefficient, a backward step solves from the k values above.
+        """
         if lo > hi:
             raise ValueError(f"empty window [{lo}, {hi}]")
         k = self.order
-        values = {self.base + i: v for i, v in enumerate(self.initial)}
-        for n in range(self.base + k, hi + 1):
-            values[n] = sum(
-                c * values[n - i] for i, c in enumerate(self.coefficients, start=1)
-            )
+        rev = self.coefficients[::-1]
+        groups = [(c, [d == c for d in rev]) for c in set(rev) if c]
+        ahead = list(self.initial)
+        for _ in range(self.base + k, hi + 1):
+            tail = ahead[-k:]
+            ahead.append(sum(c * sum(compress(tail, mask)) for c, mask in groups))
+        behind = ahead[k - 1 :: -1]  # a(base+k-1) down to a(base), then below
         if lo < self.base:
             last = self.coefficients[-1]
             if last == 0:
                 raise ValueError(
                     "backward extension requires a nonzero trailing coefficient"
                 )
+            solve = (1,) + tuple(-c for c in self.coefficients[:-1])
             for n in range(self.base - 1, lo - 1, -1):
-                head = values[n + k] - sum(
-                    self.coefficients[i - 1] * values[n + k - i] for i in range(1, k)
-                )
+                head = sum(map(mul, solve, behind[-k:]))
                 step, rem = divmod(head, last)
                 if rem:
                     raise NonIntegralBackwardStep(
                         f"index {n}: {head} is not divisible by {last}"
                     )
-                values[n] = step
-        return SequenceWindow(lo, tuple(values[n] for n in range(lo, hi + 1)))
+                behind.append(step)
+        start = min(lo, self.base)
+        values = behind[::-1] + ahead[k:]
+        return SequenceWindow(lo, tuple(values[lo - start : hi - start + 1]))
 
 
 def kbonacci(k: int) -> LinearRecurrence:
@@ -151,13 +165,14 @@ class IdentityReport:
         """Per residue class of the index: (indices checked, failures)."""
         if mod < 1:
             raise ValueError("modulus must be positive")
-        checked = {r: 0 for r in range(mod)}
-        failed = {r: 0 for r in range(mod)}
-        for n in range(self.lo, self.hi + 1):
-            checked[n % mod] += 1
+        failed = dict.fromkeys(range(mod), 0)
         for n, _, _ in self.failures:
             failed[n % mod] += 1
-        return {r: (checked[r], failed[r]) for r in range(mod)}
+        # how many n in [lo, hi] have n % mod == r, counted in closed form
+        return {
+            r: ((self.hi - r) // mod - (self.lo - 1 - r) // mod, failed[r])
+            for r in range(mod)
+        }
 
 
 def check_identity(
@@ -170,23 +185,23 @@ def check_identity(
     """Check a(n) == sum_j coefficients[j] * a(n - stride*(j+1)) for n in lo..hi.
 
     The needed window (down to lo - stride*len(coefficients)) is
-    materialized internally.  Comparison is exact big-integer equality.
+    materialized internally; each prediction is the dot product of the
+    reversed coefficients with a strided slice of its values.  Every index
+    is compared with exact big-integer equality.
     """
     coefficients = tuple(coefficients)
     if not coefficients:
-        raise ValueError("identity needs at least one coefficient")
+        raise EmptyCoefficients("identity needs at least one coefficient")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if lo > hi:
         raise WindowTooNarrow(f"empty index range [{lo}, {hi}]")
     reach = stride * len(coefficients)
-    window = rec.window(lo - reach, hi)
+    values = rec.window(lo - reach, hi).values
+    rev = coefficients[::-1]
     failures = []
-    for n in range(lo, hi + 1):
-        actual = window[n]
-        predicted = sum(
-            c * window[n - stride * j] for j, c in enumerate(coefficients, start=1)
-        )
-        if actual != predicted:
-            failures.append((n, actual, predicted))
+    for i in range(reach, len(values)):
+        predicted = sum(map(mul, rev, values[i - reach : i : stride]))
+        if values[i] != predicted:
+            failures.append((lo - reach + i, values[i], predicted))
     return IdentityReport(coefficients, stride, lo, hi, tuple(failures))

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kbonacci.errors import (
+    EmptyCoefficients,
     NonIntegralBackwardStep,
     OrderTooSmall,
     WindowTooNarrow,
 )
 from kbonacci.prover import identity_coefficients
 from kbonacci.sequences import (
+    IdentityReport,
     LinearRecurrence,
     check_identity,
     kbonacci,
@@ -159,3 +161,145 @@ class TestWindowConsistency:
         outer = rec.window(lo, hi)
         inner = rec.window(inner_lo, inner_hi)
         assert inner.values == tuple(outer[n] for n in range(inner_lo, inner_hi + 1))
+
+
+class TestErrorTypes:
+    def test_recurrence_without_coefficients(self):
+        with pytest.raises(EmptyCoefficients):
+            LinearRecurrence((), ())
+
+    def test_identity_without_coefficients(self):
+        with pytest.raises(EmptyCoefficients):
+            check_identity(kbonacci(2), [], 2, 0, 10)
+
+
+class TestResidueTallies:
+    @given(
+        st.integers(min_value=-500, max_value=500),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=30),
+        st.lists(st.integers(min_value=0, max_value=300), unique=True),
+    )
+    def test_closed_form_matches_brute_force(self, lo, width, mod, offsets):
+        hi = lo + width
+        failures = tuple((lo + d, 0, 1) for d in sorted(offsets) if d <= width)
+        report = IdentityReport((1,), 1, lo, hi, failures)
+        expected = {
+            r: (
+                sum(1 for n in range(lo, hi + 1) if n % mod == r),
+                sum(1 for n, _, _ in failures if n % mod == r),
+            )
+            for r in range(mod)
+        }
+        assert report.residue_tallies(mod) == expected
+
+
+def oracle_window(rec, lo, hi):
+    """Dict-based window: every lag multiplied separately, one dict per call."""
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]")
+    k = rec.order
+    values = {rec.base + i: v for i, v in enumerate(rec.initial)}
+    for n in range(rec.base + k, hi + 1):
+        values[n] = sum(
+            c * values[n - i] for i, c in enumerate(rec.coefficients, start=1)
+        )
+    if lo < rec.base:
+        last = rec.coefficients[-1]
+        if last == 0:
+            raise ValueError(
+                "backward extension requires a nonzero trailing coefficient"
+            )
+        for n in range(rec.base - 1, lo - 1, -1):
+            head = values[n + k] - sum(
+                rec.coefficients[i - 1] * values[n + k - i] for i in range(1, k)
+            )
+            step, rem = divmod(head, last)
+            if rem:
+                raise NonIntegralBackwardStep(
+                    f"index {n}: {head} is not divisible by {last}"
+                )
+            values[n] = step
+    return tuple(values[n] for n in range(lo, hi + 1))
+
+
+def oracle_failures(rec, coefficients, stride, lo, hi):
+    """Per-index check through absolute indices of the oracle window."""
+    reach = stride * len(coefficients)
+    values = dict(zip(range(lo - reach, hi + 1), oracle_window(rec, lo - reach, hi)))
+    failures = []
+    for n in range(lo, hi + 1):
+        predicted = sum(
+            c * values[n - stride * j] for j, c in enumerate(coefficients, start=1)
+        )
+        if values[n] != predicted:
+            failures.append((n, values[n], predicted))
+    return tuple(failures)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def recurrences(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    coefficient = st.integers(min_value=-3, max_value=3)
+    seed_value = st.integers(min_value=-9, max_value=9)
+    return LinearRecurrence(
+        tuple(draw(st.lists(coefficient, min_size=k, max_size=k))),
+        tuple(draw(st.lists(seed_value, min_size=k, max_size=k))),
+        base=draw(st.integers(min_value=-20, max_value=20)),
+    )
+
+
+class TestAgainstOracle:
+    @given(
+        recurrences(),
+        st.integers(min_value=-30, max_value=30),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_window(self, rec, offset, width):
+        lo = rec.base + offset
+        got = outcome(lambda: rec.window(lo, lo + width).values)
+        assert got == outcome(oracle_window, rec, lo, lo + width)
+
+    @given(
+        recurrences(),
+        st.one_of(
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5),
+            st.none(),
+        ),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=-30, max_value=30),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_check_identity(self, rec, coefficients, stride, offset, width):
+        if coefficients is None:
+            # the recurrence itself: an identity that holds at stride 1
+            coefficients, stride = rec.coefficients, 1
+        lo = rec.base + offset
+        args = (rec, coefficients, stride, lo, lo + width)
+        got = outcome(lambda: check_identity(*args).failures)
+        assert got == outcome(oracle_failures, *args)
+
+
+class TestLargeOrders:
+    @pytest.mark.parametrize("k", [2, 5, 12, 25, 40])
+    def test_window_satisfies_multiplied_recurrence(self, k):
+        # (X - 1)(X^k - X^(k-1) - ... - 1) = X^(k+1) - 2X^k + 1, so
+        # a(n) = 2a(n-1) - a(n-k-1); with a(0..k) pinned this fixes the sequence
+        lo = -60
+        values = kbonacci(k).window(lo, 1500).values
+        assert values[-lo : -lo + k + 1] == (0,) * (k - 1) + (1, 1)
+        for i in range(k + 1, len(values)):
+            assert values[i] == 2 * values[i - 1] - values[i - k - 1], lo + i
+
+    @pytest.mark.parametrize("k", [25, 40])
+    def test_identity_holds_at_large_order(self, k):
+        rec = random_kbonacci(k, 1)
+        report = check_identity(rec, identity_coefficients(k), k, -200, 2000)
+        assert report.ok
