@@ -25,6 +25,7 @@ from .errors import (
     NonIntegralBackwardStep,
     NonIntegralQuotient,
     NotMonic,
+    NotSolvableBackward,
     OrderTooSmall,
     WindowTooNarrow,
     WindowTooSmall,
@@ -82,6 +83,7 @@ __all__ = [
     "NonIntegralBackwardStep",
     "NonIntegralQuotient",
     "NotMonic",
+    "NotSolvableBackward",
     "OrderTooSmall",
     "ProductMatrix",
     "SequenceWindow",

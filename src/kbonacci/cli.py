@@ -192,6 +192,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "n_to": args.n_to,
             "checked": report.checked,
             "failures": [list(f) for f in report.failures],
+            "holds_for_all_n": report.holds_for_all_n,
             "residues": {
                 str(r): {"checked": c, "failed": f} for r, (c, f) in tallies.items()
             },

@@ -26,7 +26,11 @@ class NonIntegralBackwardStep(ArithmeticError):
 
 
 class WindowTooNarrow(ValueError):
-    """Empty index range handed to an identity check."""
+    """Empty index range: lo > hi for a window or an identity check."""
+
+
+class NotSolvableBackward(ValueError):
+    """A recurrence with a zero trailing coefficient cannot be run backward."""
 
 
 class ColumnOutOfRange(ValueError):

@@ -14,8 +14,10 @@ case for the k-step Fibonacci family).  A non-exact backward step raises
 instead of switching to rationals.
 
 check_identity verifies a strided self-similarity identity
-a(n) = sum_j coeffs[j] * a(n - stride*(j+1)) over an index range, comparing
-every index exactly against a strided slice of the materialized window.
+a(n) = sum_j coeffs[j] * a(n - stride*(j+1)) over an index range through
+its residual r(n) = a(n) - sum_j coeffs[j] * a(n - stride*(j+1)).  r is a
+fixed combination of shifts of a, so it obeys a's own recurrence: k zero
+residuals at the bottom of the range prove the identity on all of it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Iterable, Sequence
 from .errors import (
     EmptyCoefficients,
     NonIntegralBackwardStep,
+    NotSolvableBackward,
     OrderTooSmall,
     WindowTooNarrow,
 )
@@ -84,7 +87,7 @@ class LinearRecurrence:
         nonzero coefficient, a backward step solves from the k values above.
         """
         if lo > hi:
-            raise ValueError(f"empty window [{lo}, {hi}]")
+            raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
         k = self.order
         rev = self.coefficients[::-1]
         groups = [(c, [d == c for d in rev]) for c in set(rev) if c]
@@ -96,7 +99,7 @@ class LinearRecurrence:
         if lo < self.base:
             last = self.coefficients[-1]
             if last == 0:
-                raise ValueError(
+                raise NotSolvableBackward(
                     "backward extension requires a nonzero trailing coefficient"
                 )
             solve = (1,) + tuple(-c for c in self.coefficients[:-1])
@@ -148,6 +151,12 @@ class IdentityReport:
     hi: int
     failures: tuple[tuple[int, int, int], ...] = field(default=())
     # each failure is (index, actual value, value predicted by the identity)
+    holds_for_all_n: bool = False
+    # ok, decided from order-many residuals, and the recurrence's trailing
+    # coefficient is +-1: then the residual vanishes in both directions, at
+    # every integer n.  An ok report without it is certified only for n >= lo
+    # (any other trailing coefficient) or only on [lo, hi] (a range shorter
+    # than the order).
 
     @property
     def ok(self) -> bool:
@@ -184,10 +193,14 @@ def check_identity(
 ) -> IdentityReport:
     """Check a(n) == sum_j coefficients[j] * a(n - stride*(j+1)) for n in lo..hi.
 
-    The needed window (down to lo - stride*len(coefficients)) is
-    materialized internally; each prediction is the dot product of the
-    reversed coefficients with a strided slice of its values.  Every index
-    is compared with exact big-integer equality.
+    Decided from the residual r(n) = a(n) - (the identity's prediction).
+    For n >= lo + k, r(n) - sum_i rec.coefficients[i-1] * r(n-i) combines
+    instances of the recurrence at indices no lower than lo - stride *
+    len(coefficients), so it is 0: r obeys the recurrence and its k lowest
+    values in the range decide it everywhere above.  Only the window up to
+    lo + k - 1 is built; when those k residuals are all 0 the identity holds
+    on [lo, hi] (and for every n >= lo).  Otherwise r is extended over the
+    range by the recurrence and each index where it is nonzero is reported.
     """
     coefficients = tuple(coefficients)
     if not coefficients:
@@ -196,12 +209,24 @@ def check_identity(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if lo > hi:
         raise WindowTooNarrow(f"empty index range [{lo}, {hi}]")
+    k = rec.order
     reach = stride * len(coefficients)
-    values = rec.window(lo - reach, hi).values
+    values = rec.window(lo - reach, min(hi, lo + k - 1)).values
     rev = coefficients[::-1]
-    failures = []
-    for i in range(reach, len(values)):
-        predicted = sum(map(mul, rev, values[i - reach : i : stride]))
-        if values[i] != predicted:
-            failures.append((lo - reach + i, values[i], predicted))
-    return IdentityReport(coefficients, stride, lo, hi, tuple(failures))
+    residuals = tuple(
+        values[i] - sum(map(mul, rev, values[i - reach : i : stride]))
+        for i in range(reach, len(values))
+    )
+    decided = len(residuals) == k  # a shorter range is just its seeds
+    if not any(residuals):
+        holds = decided and rec.coefficients[-1] in (1, -1)
+        return IdentityReport(coefficients, stride, lo, hi, holds_for_all_n=holds)
+    if decided:
+        extension = LinearRecurrence(rec.coefficients, residuals, base=lo)
+        residuals = extension.window(lo, hi).values
+    failures = tuple(
+        (n, a, a - r)
+        for n, a, r in zip(range(lo, hi + 1), rec.window(lo, hi).values, residuals)
+        if r
+    )
+    return IdentityReport(coefficients, stride, lo, hi, failures)

@@ -159,6 +159,18 @@ class TestVerify:
         assert code == 0
         assert "verdict: PASS" in out
 
+    @pytest.mark.parametrize(
+        "k, n_from, n_to, holds",
+        [("3", "-30", "120", True), ("5", "200", "204", True), ("5", "4", "7", False)],
+    )
+    def test_json_holds_for_all_n(self, capsys, k, n_from, n_to, holds):
+        argv = ["verify", "--k", k, "--n-from", n_from, "--n-to", n_to]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["holds_for_all_n"] is holds
+        for fmt in ("markdown", "tsv"):
+            assert "holds" not in run_cli(capsys, *argv, "--format", fmt)[1]
+
     def test_inverted_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--k", "3", "--n-from", "5", "--n-to", "4"])

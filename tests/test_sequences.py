@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from kbonacci.errors import (
     EmptyCoefficients,
     NonIntegralBackwardStep,
+    NotSolvableBackward,
     OrderTooSmall,
     WindowTooNarrow,
 )
@@ -53,7 +54,7 @@ class TestWindow:
         assert rec.window(5, 7).values == (4, -2, 9)
 
     def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WindowTooNarrow):
             kbonacci(2).window(3, 2)
 
     def test_absolute_indexing(self):
@@ -70,7 +71,7 @@ class TestWindow:
 
     def test_zero_trailing_coefficient_cannot_extend_backward(self):
         rec = LinearRecurrence((1, 0), (0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(NotSolvableBackward):
             rec.window(-1, 1)
         # forward-only windows are still fine
         assert rec.window(0, 4).values == (0, 1, 1, 1, 1)
@@ -125,6 +126,62 @@ class TestCheckIdentity:
     def test_empty_coefficients_rejected(self):
         with pytest.raises(ValueError):
             check_identity(kbonacci(2), [], 2, 0, 10)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_passing_check_builds_reach_plus_order_values(self, seed, monkeypatch):
+        built = []
+        window = LinearRecurrence.window
+
+        def counting_window(self, lo, hi):
+            result = window(self, lo, hi)
+            built.append(len(result))
+            return result
+
+        monkeypatch.setattr(LinearRecurrence, "window", counting_window)
+        k = 25
+        coefficients = identity_coefficients(k)
+        report = check_identity(random_kbonacci(k, seed), coefficients, k, -400, 11000)
+        assert report.ok
+        assert report.checked == 11401
+        assert sum(built) <= k * len(coefficients) + k
+
+
+class TestHoldsForAllN:
+    def test_pell_trailing_one(self):
+        # a(n) = 2a(n-1) + a(n-2); squaring its roots gives X^2 - 6X + 1
+        pell = LinearRecurrence((2, 1), (0, 1))
+        report = check_identity(pell, [6, -1], 2, 10, 60)
+        assert report.ok and report.holds_for_all_n
+        # the certificate reaches below the checked range
+        assert check_identity(pell, [6, -1], 2, -300, -200).ok
+
+    def test_trailing_two_is_forward_only(self):
+        # a(n) = a(n-1) + 2a(n-2) has roots 2 and -1; stride 2: X^2 - 5X + 4
+        rec = LinearRecurrence((1, 2), (0, 1))
+        report = check_identity(rec, [5, -4], 2, 4, 50)
+        assert report.ok
+        assert not report.holds_for_all_n
+        assert check_identity(rec, [5, -4], 2, 900, 1000).ok
+        # below the base the sequence is not integral
+        with pytest.raises(NonIntegralBackwardStep):
+            check_identity(rec, [5, -4], 2, 0, 50)
+
+    def test_trailing_zero_is_forward_only(self):
+        # a(n) = a(n-1): 0, 1, 1, 1, ...; a(n) = a(n-2) holds from n = 3 on
+        rec = LinearRecurrence((1, 0), (0, 1))
+        report = check_identity(rec, [1], 2, 3, 40)
+        assert report.ok
+        assert not report.holds_for_all_n
+        failing = check_identity(rec, [1], 2, 2, 40)
+        assert failing.failures == ((2, 1, 0),)
+        assert not failing.holds_for_all_n
+
+    def test_range_shorter_than_order_certifies_only_itself(self):
+        # 3*F(2) - 2*F(0) == F(4) by coincidence; the identity is wrong
+        report = check_identity(kbonacci(2), [3, -2], 2, 4, 4)
+        assert report.ok
+        assert not report.holds_for_all_n
+        assert not check_identity(kbonacci(2), [3, -2], 2, 4, 5).ok
 
 
 class TestRandomInstances:
@@ -197,7 +254,7 @@ class TestResidueTallies:
 def oracle_window(rec, lo, hi):
     """Dict-based window: every lag multiplied separately, one dict per call."""
     if lo > hi:
-        raise ValueError(f"empty window [{lo}, {hi}]")
+        raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
     k = rec.order
     values = {rec.base + i: v for i, v in enumerate(rec.initial)}
     for n in range(rec.base + k, hi + 1):
@@ -207,7 +264,7 @@ def oracle_window(rec, lo, hi):
     if lo < rec.base:
         last = rec.coefficients[-1]
         if last == 0:
-            raise ValueError(
+            raise NotSolvableBackward(
                 "backward extension requires a nonzero trailing coefficient"
             )
         for n in range(rec.base - 1, lo - 1, -1):
@@ -274,13 +331,21 @@ class TestAgainstOracle:
             st.none(),
         ),
         st.integers(min_value=1, max_value=4),
-        st.integers(min_value=-30, max_value=30),
+        # reaching below the base, or wholly (and far) above it
+        st.one_of(
+            st.integers(min_value=-30, max_value=30),
+            st.integers(min_value=30, max_value=300),
+        ),
         st.integers(min_value=0, max_value=60),
+        st.booleans(),
     )
-    def test_check_identity(self, rec, coefficients, stride, offset, width):
+    def test_check_identity(self, rec, coefficients, stride, offset, width, short):
         if coefficients is None:
             # the recurrence itself: an identity that holds at stride 1
             coefficients, stride = rec.coefficients, 1
+        if short:
+            # a range shorter than the order: no recurrence step to extend by
+            width %= rec.order
         lo = rec.base + offset
         args = (rec, coefficients, stride, lo, lo + width)
         got = outcome(lambda: check_identity(*args).failures)
