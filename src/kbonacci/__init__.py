@@ -6,19 +6,13 @@ obeying the order-k all-ones recurrence, where C is a Pascal-like
 coefficient triangle.  Certification is symbolic (exact polynomial
 divisibility, cross-checked by a product matrix with per-column
 closed-form arguments), numeric (big-integer identity checks on concrete
-sequences, including negative indices), and independent (companion-matrix
-decimation that never touches the triangles).
+sequences, including negative indices), and independent (decimation by
+power sums and Newton's identities, which never touches the triangles).
 """
 
-from .decimation import (
-    IntMatrix,
-    char_poly,
-    companion_matrix,
-    decimated_charpoly,
-    matrix_power,
-    recurrence_coefficients,
-)
+from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import (
+    BadStride,
     ColumnOutOfRange,
     EmptyCoefficients,
     NegativeRow,
@@ -70,13 +64,13 @@ from .triangles import (
 )
 
 __all__ = [
+    "BadStride",
     "CASE_LABELS",
     "CaseTally",
     "Certificate",
     "ColumnOutOfRange",
     "EmptyCoefficients",
     "IdentityReport",
-    "IntMatrix",
     "IntPoly",
     "LinearRecurrence",
     "NegativeRow",
@@ -93,7 +87,6 @@ __all__ = [
     "build_matrix",
     "case_e_group_sums",
     "certify_divisibility",
-    "char_poly",
     "check_identity",
     "classify_column",
     "coeff_entry",
@@ -101,7 +94,6 @@ __all__ = [
     "coeff_row_from_charpoly",
     "coeff_rows",
     "column_one_closed_form",
-    "companion_matrix",
     "decimated_charpoly",
     "diff_entry",
     "diff_row",
@@ -111,7 +103,6 @@ __all__ = [
     "identity_charpoly",
     "identity_coefficients",
     "kbonacci",
-    "matrix_power",
     "quotient_poly",
     "random_kbonacci",
     "recurrence_coefficients",

@@ -63,20 +63,25 @@ def _identity_text(coefficients: list[int], stride: int) -> str:
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
     rows = coeff_rows(args.rows) if args.kind == "p" else diff_rows(args.rows)
+    write = sys.stdout.write
     if args.format == "json":
-        print(_dump_json(rows))
+        # the bytes of _dump_json(rows), a row at a time: rows are nonempty
+        # lists of ints
+        separator = "["
+        for row in rows:
+            write(separator + "\n  [\n    " + ",\n    ".join(map(str, row)) + "\n  ]")
+            separator = ","
+        write("\n]\n")
     elif args.format == "tsv":
-        for line in _tsv_rows([[str(v) for v in row] for row in rows]):
-            print(line)
+        for row in rows:
+            write("\t".join(map(str, row)) + "\n")
     else:
         width = args.rows + 1
-        header = ["row/col"] + [str(j) for j in range(width)]
-        body = [
-            [str(i)] + [str(row[j]) if j < len(row) else "0" for j in range(width)]
-            for i, row in enumerate(rows)
-        ]
-        for line in _markdown_table(header, body):
-            print(line)
+        for line in _markdown_table(["row/col"] + [str(j) for j in range(width)], []):
+            write(line + "\n")
+        for i, row in enumerate(rows):
+            cells = [str(i), *map(str, row)] + ["0"] * (width - len(row))
+            write("| " + " | ".join(cells) + " |\n")
     return 0
 
 

@@ -33,6 +33,10 @@ class NotSolvableBackward(ValueError):
     """A recurrence with a zero trailing coefficient cannot be run backward."""
 
 
+class BadStride(ValueError):
+    """Decimation or identity stride below 1."""
+
+
 class ColumnOutOfRange(ValueError):
     """Product-matrix column index outside 0..k*k."""
 

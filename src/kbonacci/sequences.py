@@ -4,8 +4,10 @@ A LinearRecurrence is a(n) = sum_{i=1..k} coefficients[i-1] * a(n-i) with
 k seed values starting at a base index.  A window is built in flat lists.
 Forward, each step groups the lags that share a coefficient, so it does one
 multiplication per distinct nonzero coefficient (the k-step family: one
-sum of the last k values).  Windows may extend below the base: the
-recurrence is solved backward from the k values above,
+sum of the last k values); a window far above the base jumps there by
+square-and-multiply modulo the characteristic polynomial, in a number of
+polynomial steps logarithmic in the distance.  Windows may extend below
+the base: the recurrence is solved backward from the k values above,
 
     a(n) = (a(n+k) - sum_{i<k} coefficients[i-1] * a(n+k-i)) / coefficients[k-1],
 
@@ -29,12 +31,14 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
+    BadStride,
     EmptyCoefficients,
     NonIntegralBackwardStep,
     NotSolvableBackward,
     OrderTooSmall,
     WindowTooNarrow,
 )
+from .intpoly import IntPoly
 
 
 @dataclass(frozen=True)
@@ -85,23 +89,36 @@ class LinearRecurrence:
 
         List-backed; a forward step does one multiplication per distinct
         nonzero coefficient, a backward step solves from the k values above.
+        A window above the base starts from the k values at lo, read off
+        X**(lo - base) mod the characteristic polynomial, instead of
+        walking up from the base.
         """
         if lo > hi:
             raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
         k = self.order
         rev = self.coefficients[::-1]
         groups = [(c, [d == c for d in rev]) for c in set(rev) if c]
-        ahead = list(self.initial)
-        for _ in range(self.base + k, hi + 1):
-            tail = ahead[-k:]
-            ahead.append(sum(c * sum(compress(tail, mask)) for c, mask in groups))
-        behind = ahead[k - 1 :: -1]  # a(base+k-1) down to a(base), then below
+
+        def walk(values: list[int], stop: int) -> list[int]:
+            for _ in range(len(values), stop):
+                tail = values[-k:]
+                values.append(sum(c * sum(compress(tail, mask)) for c, mask in groups))
+            return values
+
+        # X**(start - base) == sum_j r_j X**j mod the characteristic
+        # polynomial, so a(start + i) = sum_j r_j a(base + i + j)
+        start = max(lo, self.base)
+        r = _x_power_mod(start - self.base, IntPoly((*(-c for c in rev), 1))).coeffs
+        first = walk(list(self.initial), k - 1 + len(r))
+        seeds = [sum(map(mul, r, first[i : i + k])) for i in range(k)]
+        ahead = walk(seeds, hi - start + 1)
         if lo < self.base:
             last = self.coefficients[-1]
             if last == 0:
                 raise NotSolvableBackward(
                     "backward extension requires a nonzero trailing coefficient"
                 )
+            behind = ahead[k - 1 :: -1]  # a(base+k-1) down to a(base), then below
             solve = (1,) + tuple(-c for c in self.coefficients[:-1])
             for n in range(self.base - 1, lo - 1, -1):
                 head = sum(map(mul, solve, behind[-k:]))
@@ -111,9 +128,20 @@ class LinearRecurrence:
                         f"index {n}: {head} is not divisible by {last}"
                     )
                 behind.append(step)
-        start = min(lo, self.base)
-        values = behind[::-1] + ahead[k:]
-        return SequenceWindow(lo, tuple(values[lo - start : hi - start + 1]))
+            ahead = behind[::-1] + ahead[k:]
+        return SequenceWindow(lo, tuple(ahead[: hi - lo + 1]))
+
+
+def _x_power_mod(e: int, modulus: IntPoly) -> IntPoly:
+    """X**e mod a monic polynomial, by square-and-multiply (1 for e = 0)."""
+    result, square = IntPoly.one(), IntPoly.x()
+    while e:
+        if e & 1:
+            result = result * square % modulus
+        e >>= 1
+        if e:
+            square = square * square % modulus
+    return result
 
 
 def kbonacci(k: int) -> LinearRecurrence:
@@ -206,7 +234,7 @@ def check_identity(
     if not coefficients:
         raise EmptyCoefficients("identity needs at least one coefficient")
     if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+        raise BadStride(f"stride must be >= 1, got {stride}")
     if lo > hi:
         raise WindowTooNarrow(f"empty index range [{lo}, {hi}]")
     k = rec.order

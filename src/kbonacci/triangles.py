@@ -36,13 +36,10 @@ def coeff_rows(n: int) -> list[list[int]]:
     if n < 0:
         raise NegativeRow(f"row {n} is negative")
     rows = [[-1]]
-    for i in range(1, n + 1):
+    for _ in range(n):
         prev = rows[-1]
-        row = [-1]
-        for j in range(1, i + 1):
-            above = prev[j] if j < i else 0
-            row.append(2 * above - prev[j - 1])
-        rows.append(row)
+        # C[i][j] = 2*C[i-1][j] - C[i-1][j-1], with C[i-1][i] read as 0
+        rows.append([-1] + [2 * a - b for a, b in zip(prev[1:] + [0], prev)])
     return rows
 
 
@@ -54,11 +51,10 @@ def coeff_row(n: int) -> list[int]:
 def diff_rows(n: int) -> list[list[int]]:
     """Rows 0..n of the difference triangle."""
     base = coeff_rows(n)
-    rows = [[0]]
-    for i in range(1, n + 1):
-        prev, cur = base[i - 1], base[i]
-        rows.append([cur[j] - (prev[j] if j < i else 0) for j in range(i + 1)])
-    return rows
+    return [[0]] + [
+        [c - above for c, above in zip(cur, prev + [0])]
+        for prev, cur in zip(base, base[1:])
+    ]
 
 
 def diff_row(n: int) -> list[int]:

@@ -270,6 +270,7 @@ class TestJsonStability:
         [
             ["triangle", "p", "--rows", "6", "--format", "json"],
             ["triangle", "q", "--rows", "3", "--format", "json"],
+            ["triangle", "p", "--rows", "0", "--format", "json"],
             ["prove", "--k", "5", "--show-matrix", "--format", "json"],
             ["verify", "--k", "3", "--n-from", "-10", "--n-to", "40", "--format", "json"],
             ["decimate", "--charpoly", "1,-2,-1", "--stride", "2", "--format", "json"],

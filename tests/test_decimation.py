@@ -1,20 +1,145 @@
-"""Unit tests for companion-matrix decimation."""
+"""Unit tests for stride decimation by power sums.
+
+The earlier implementation computed the decimated polynomial as the
+characteristic polynomial of a companion-matrix power, by fraction-free
+(Bareiss) elimination.  That code is kept below, unchanged, as a reference
+oracle that shares nothing with the power-sum route but
+recurrence_coefficients; the IntMatrix, companion, matrix-power, charpoly
+and Cayley-Hamilton tests keep the oracle itself honest.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kbonacci.decimation import (
-    IntMatrix,
-    char_poly,
-    companion_matrix,
-    decimated_charpoly,
-    matrix_power,
-    recurrence_coefficients,
-)
-from kbonacci.errors import NotMonic
+from kbonacci import decimation
+from kbonacci.decimation import decimated_charpoly, recurrence_coefficients
+from kbonacci.errors import BadStride, NotMonic
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import base_charpoly, identity_charpoly, stride_charpoly
 from kbonacci.sequences import LinearRecurrence, check_identity
+
+# --- reference oracle: Bareiss elimination over companion-matrix powers ------
+
+
+@dataclass(init=False, frozen=True)
+class IntMatrix:
+    """Square matrix of Python ints."""
+
+    entries: tuple[tuple[int, ...], ...]
+
+    def __init__(self, entries: Iterable[Iterable[int]]):
+        rows = tuple(tuple(row) for row in entries)
+        if not rows:
+            raise ValueError("matrix must be nonempty")
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        object.__setattr__(self, "entries", rows)
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    @classmethod
+    def identity(cls, n: int) -> IntMatrix:
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def __matmul__(self, other: IntMatrix) -> IntMatrix:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        cols = list(zip(*other.entries))
+        return IntMatrix(
+            [
+                [sum(a * b for a, b in zip(row, col)) for col in cols]
+                for row in self.entries
+            ]
+        )
+
+    def __add__(self, other: IntMatrix) -> IntMatrix:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        return IntMatrix(
+            [
+                [a + b for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.entries, other.entries)
+            ]
+        )
+
+    def __mul__(self, scalar: int) -> IntMatrix:
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return IntMatrix([[scalar * a for a in row] for row in self.entries])
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return all(a == 0 for row in self.entries for a in row)
+
+
+def companion_matrix(charpoly: IntPoly) -> IntMatrix:
+    """Companion matrix of a monic polynomial, recurrence coefficients in
+    the first row and ones on the subdiagonal."""
+    coefficients = recurrence_coefficients(charpoly)
+    n = len(coefficients)
+    rows = [list(coefficients)]
+    for i in range(1, n):
+        rows.append([1 if j == i - 1 else 0 for j in range(n)])
+    return IntMatrix(rows)
+
+
+def matrix_power(m: IntMatrix, e: int) -> IntMatrix:
+    """Exact e-th power by repeated squaring, e >= 1."""
+    if e < 1:
+        raise ValueError(f"exponent must be >= 1, got {e}")
+    result = m
+    for bit in bin(e)[3:]:  # the bits of e after its leading 1
+        result = result @ result
+        if bit == "1":
+            result = result @ m
+    return result
+
+
+def char_poly(m: IntMatrix) -> IntPoly:
+    """det(X*I - m) by fraction-free elimination over integer polynomials.
+
+    Each Bareiss update divides by the previous pivot; the division is
+    exact as a determinant identity, so the computation never leaves
+    Z[X].  Pivot r is the leading (r+1) x (r+1) principal minor of
+    X*I - m, a monic polynomial of degree r+1, so no pivot is ever zero.
+    """
+    n = m.n
+    a = [
+        [IntPoly((-v, 1) if i == j else (-v,)) for j, v in enumerate(row)]
+        for i, row in enumerate(m.entries)
+    ]
+    prev = IntPoly.one()
+    for r in range(n - 1):
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                numerator = a[i][j] * a[r][r] - a[i][r] * a[r][j]
+                quotient, residue = divmod(numerator, prev)
+                if not residue.is_zero():
+                    raise ArithmeticError(f"inexact Bareiss step r={r}, i={i}, j={j}")
+                a[i][j] = quotient
+        prev = a[r][r]
+    return a[n - 1][n - 1]
+
+
+def bareiss_decimated_charpoly(charpoly: IntPoly, stride: int) -> IntPoly:
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    return char_poly(matrix_power(companion_matrix(charpoly), stride))
+
+
+# --- tests of the oracle ------------------------------------------------------
 
 
 class TestIntMatrix:
@@ -142,6 +267,9 @@ class TestCayleyHamilton:
         assert poly_at_matrix(char_poly(m), m).is_zero()
 
 
+# --- tests of the power-sum route --------------------------------------------
+
+
 class TestDecimation:
     def test_stride_two_fibonacci(self):
         assert decimated_charpoly(base_charpoly(2), 2) == IntPoly((1, -3, 1))
@@ -154,7 +282,7 @@ class TestDecimation:
         assert decimated_charpoly(poly, 1) == poly
 
     def test_bad_stride(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadStride):
             decimated_charpoly(base_charpoly(2), 0)
 
     @pytest.mark.parametrize("k", range(2, 13))
@@ -179,3 +307,37 @@ class TestDecimation:
         jacobsthal = LinearRecurrence((1, 2), (0, 1))
         assert jacobsthal.window(0, 8).values == (0, 1, 1, 3, 5, 11, 21, 43, 85)
         assert check_identity(jacobsthal, [5, -4], 2, 4, 20).ok
+
+
+monic_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=8).map(
+    lambda lower: IntPoly(lower + [1])  # zero and non-+-1 trailing terms included
+)
+
+
+class TestPowerSums:
+    @given(monic_polys, st.integers(1, 8))
+    def test_matches_bareiss(self, poly, stride):
+        decimated = decimated_charpoly(poly, stride)
+        assert decimated == bareiss_decimated_charpoly(poly, stride)
+        assert decimated.is_monic and decimated.degree == poly.degree
+        # the defining property: p(X) divides q(X^s) exactly
+        assert divmod(decimated.compose_power(stride), poly)[1].is_zero()
+
+    @given(monic_polys)
+    def test_stride_one_returns_input(self, poly):
+        assert decimated_charpoly(poly, 1) == poly
+
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_matches_triangle_route_to_order_forty(self, k):
+        assert decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # a Newton step that leaves a remainder must stop the conversion,
+        # also under python -O
+        def inexact(a, b):
+            quotient, rem = divmod(a, b)
+            return quotient, rem + 1
+
+        monkeypatch.setattr(decimation, "divmod", inexact, raising=False)
+        with pytest.raises(ArithmeticError, match=r"inexact Newton step m=1"):
+            decimated_charpoly(base_charpoly(3), 2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kbonacci.errors import (
+    BadStride,
     EmptyCoefficients,
     NonIntegralBackwardStep,
     NotSolvableBackward,
@@ -229,6 +230,10 @@ class TestErrorTypes:
         with pytest.raises(EmptyCoefficients):
             check_identity(kbonacci(2), [], 2, 0, 10)
 
+    def test_stride_below_one(self):
+        with pytest.raises(BadStride, match="stride must be >= 1, got 0"):
+            check_identity(kbonacci(2), [3, -1], 0, 0, 10)
+
 
 class TestResidueTallies:
     @given(
@@ -326,6 +331,17 @@ class TestAgainstOracle:
 
     @given(
         recurrences(),
+        st.integers(min_value=0, max_value=2000),
+        st.integers(min_value=0, max_value=30),
+    )
+    def test_window_far_above_base(self, rec, offset, width):
+        # the window jumps to lo; the oracle walks every index up from the base
+        lo = rec.base + offset
+        got = outcome(lambda: rec.window(lo, lo + width).values)
+        assert got == outcome(oracle_window, rec, lo, lo + width)
+
+    @given(
+        recurrences(),
         st.one_of(
             st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5),
             st.none(),
@@ -368,3 +384,20 @@ class TestLargeOrders:
         rec = random_kbonacci(k, 1)
         report = check_identity(rec, identity_coefficients(k), k, -200, 2000)
         assert report.ok
+
+
+def fibonacci_pair(n):
+    """(F(n), F(n+1)) by fast doubling."""
+    if n == 0:
+        return 0, 1
+    a, b = fibonacci_pair(n // 2)
+    c = a * (2 * b - a)
+    d = a * a + b * b
+    return (d, c + d) if n % 2 else (c, d)
+
+
+class TestFarWindows:
+    def test_fibonacci_at_one_hundred_thousand(self):
+        n = 100_000
+        f_n, f_next = fibonacci_pair(n)
+        assert kbonacci(2).window(n - 1, n + 1).values == (f_next - f_n, f_n, f_next)
