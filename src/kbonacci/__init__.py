@@ -12,17 +12,21 @@ power sums and Newton's identities, which never touches the triangles).
 
 from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import (
+    BadCompositionPower,
     BadStride,
     ColumnOutOfRange,
     EmptyCoefficients,
+    NegativePower,
     NegativeRow,
     NonIntegralBackwardStep,
     NonIntegralQuotient,
+    NotAnEColumn,
     NotMonic,
     NotSolvableBackward,
     OrderTooSmall,
     WindowTooNarrow,
     WindowTooSmall,
+    ZeroPolynomialDegree,
 )
 from .intpoly import IntPoly
 from .prover import (
@@ -40,7 +44,6 @@ from .prover import (
     identity_coefficients,
     quotient_poly,
     stride_charpoly,
-    symbolic_matrix,
     verify_case_sums,
 )
 from .sequences import (
@@ -64,6 +67,7 @@ from .triangles import (
 )
 
 __all__ = [
+    "BadCompositionPower",
     "BadStride",
     "CASE_LABELS",
     "CaseTally",
@@ -73,9 +77,11 @@ __all__ = [
     "IdentityReport",
     "IntPoly",
     "LinearRecurrence",
+    "NegativePower",
     "NegativeRow",
     "NonIntegralBackwardStep",
     "NonIntegralQuotient",
+    "NotAnEColumn",
     "NotMonic",
     "NotSolvableBackward",
     "OrderTooSmall",
@@ -83,6 +89,7 @@ __all__ = [
     "SequenceWindow",
     "WindowTooNarrow",
     "WindowTooSmall",
+    "ZeroPolynomialDegree",
     "base_charpoly",
     "build_matrix",
     "case_e_group_sums",
@@ -107,6 +114,5 @@ __all__ = [
     "random_kbonacci",
     "recurrence_coefficients",
     "stride_charpoly",
-    "symbolic_matrix",
     "verify_case_sums",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import NegativeRow, NotMonic, OrderTooSmall
@@ -88,23 +88,38 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 # --- prove ------------------------------------------------------------------
 
 
-def _matrix_cells(matrix: ProductMatrix) -> list[list[str]]:
-    labels = matrix.row_labels
-    cells = []
-    for label, row in zip(labels, matrix.rows):
-        cells.append([label] + [str(v) if v else "" for v in row])
-    cells.append(["SUM"] + [str(s) for s in matrix.column_sums])
-    return cells
+def _matrix_rows(matrix: ProductMatrix) -> Iterator[list[str]]:
+    """The labelled rows, then the SUM row, as cells; blank where zero.
+    Each row is made only when the caller asks for it."""
+    for r, label in enumerate(matrix.row_labels):
+        yield [label] + [str(v) if v else "" for v in matrix.row(r)]
+    yield ["SUM"] + [str(s) for s in matrix.column_sums]
 
 
-def _matrix_json(matrix: ProductMatrix) -> dict:
-    return {
+def _write_matrix_json(doc: dict, matrix: ProductMatrix) -> None:
+    """Print _dump_json(doc) with the matrix under doc["matrix"], making one
+    row of the matrix at a time.
+
+    The document is dumped with "rows", the last key of "matrix", empty;
+    the rows, nonempty lists of ints at a fixed depth, are then written
+    where the empty list stands, in the bytes json.dumps would give them.
+    """
+    doc["matrix"] = {
         "k": matrix.k,
         "case_row": list(matrix.column_cases),
         "row_labels": list(matrix.row_labels),
-        "rows": [list(row) for row in matrix.rows],
+        "rows": [],
         "column_sums": list(matrix.column_sums),
     }
+    head, _, tail = _dump_json(doc).partition('"rows": []')
+    write = sys.stdout.write
+    write(head + '"rows": [')
+    separator = "\n"
+    for r in range(matrix.k + 1):
+        cells = ",\n        ".join(map(str, matrix.row(r)))
+        write(separator + "      [\n        " + cells + "\n      ]")
+        separator = ",\n"
+    write("\n    ]" + tail + "\n")
 
 
 def _certificate_fields(cert: Certificate) -> list[tuple[str, str]]:
@@ -133,6 +148,7 @@ def _certificate_fields(cert: Certificate) -> list[tuple[str, str]]:
 def _cmd_prove(args: argparse.Namespace) -> int:
     cert = certify_divisibility(args.k)
     matrix = cert.matrix if args.show_matrix else None
+    write = sys.stdout.write
     if args.format == "json":
         doc = {
             "k": cert.k,
@@ -149,16 +165,18 @@ def _cmd_prove(args: argparse.Namespace) -> int:
             },
             "verdict": "PASS" if cert.ok else "FAIL",
         }
-        if matrix is not None:
-            doc["matrix"] = _matrix_json(matrix)
-        print(_dump_json(doc))
+        if matrix is None:
+            print(_dump_json(doc))
+        else:
+            _write_matrix_json(doc, matrix)
     elif args.format == "tsv":
-        lines = _tsv_rows([[key, value] for key, value in _certificate_fields(cert)])
-        if matrix is not None:
-            lines.append("\t".join(["case"] + list(matrix.column_cases)))
-            lines.extend(_tsv_rows(_matrix_cells(matrix)))
-        for line in lines:
+        fields = [[key, value] for key, value in _certificate_fields(cert)]
+        for line in _tsv_rows(fields):
             print(line)
+        if matrix is not None:
+            write("\t".join(["case"] + list(matrix.column_cases)) + "\n")
+            for cells in _matrix_rows(matrix):
+                write("\t".join(cells) + "\n")
     else:
         print(f"# Divisibility certificate, order {cert.k}")
         print()
@@ -167,10 +185,11 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         if matrix is not None:
             print()
             header = ["case"] + list(matrix.column_cases)
-            body = [["col"] + [f"X^{c}" for c in range(matrix.width)]]
-            body.extend(_matrix_cells(matrix))
-            for line in _markdown_table(header, body):
+            columns = ["col"] + [f"X^{c}" for c in range(matrix.width)]
+            for line in _markdown_table(header, [columns]):
                 print(line)
+            for cells in _matrix_rows(matrix):
+                write("| " + " | ".join(cells) + " |\n")
     return 0 if cert.ok else 1
 
 

@@ -47,3 +47,19 @@ class EmptyCoefficients(ValueError):
 
 class NotMonic(ValueError):
     """Operation requires a monic polynomial (leading coefficient 1)."""
+
+
+class NotAnEColumn(ValueError):
+    """Case-E group sums asked of a product-matrix column outside family E."""
+
+
+class ZeroPolynomialDegree(ValueError):
+    """Degree asked of the zero polynomial, which has none."""
+
+
+class NegativePower(ValueError):
+    """Polynomial raised to a negative power."""
+
+
+class BadCompositionPower(ValueError):
+    """Substitution of X**k for X with k below 1."""

@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NonIntegralQuotient, WindowTooSmall
+from .errors import (
+    BadCompositionPower,
+    NegativePower,
+    NonIntegralQuotient,
+    WindowTooSmall,
+    ZeroPolynomialDegree,
+)
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -64,7 +70,7 @@ class IntPoly:
     def degree(self) -> int:
         """Degree of a nonzero polynomial; the zero polynomial has none."""
         if not self.coeffs:
-            raise ValueError("the zero polynomial has no degree")
+            raise ZeroPolynomialDegree("the zero polynomial has no degree")
         return len(self.coeffs) - 1
 
     @property
@@ -118,7 +124,7 @@ class IntPoly:
 
     def __pow__(self, exponent: int) -> IntPoly:
         if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
+            raise NegativePower("negative polynomial powers are not defined")
         result = IntPoly.one()
         square = self
         e = exponent
@@ -135,7 +141,9 @@ class IntPoly:
 
         Every step must divide exactly over the integers; a non-monic
         divisor whose leading coefficient does not divide the running
-        head raises NonIntegralQuotient.
+        head raises NonIntegralQuotient.  Each step subtracts only the
+        divisor's nonzero terms, so a sparse divisor such as a trinomial
+        costs O(terms) per step, not O(degree).
         """
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -147,6 +155,7 @@ class IntPoly:
         num = list(self.coeffs)
         if len(num) - 1 < dd:
             return IntPoly(), self
+        terms = [(i, d) for i, d in enumerate(den) if d]
         quot = [0] * (len(num) - dd)
         for shift in range(len(num) - dd - 1, -1, -1):
             head = num[shift + dd]
@@ -158,7 +167,7 @@ class IntPoly:
                     f"{head} is not divisible by leading coefficient {lead}"
                 )
             quot[shift] = step
-            for i, d in enumerate(den):
+            for i, d in terms:
                 num[shift + i] -= step * d
         return IntPoly(quot), IntPoly(num)
 
@@ -171,7 +180,7 @@ class IntPoly:
     def compose_power(self, k: int) -> IntPoly:
         """Substitute X**k for X: coefficient of X**i moves to X**(i*k)."""
         if k < 1:
-            raise ValueError("composition power must be >= 1")
+            raise BadCompositionPower("composition power must be >= 1")
         if not self.coeffs or k == 1:
             return self
         out = [0] * ((len(self.coeffs) - 1) * k + 1)

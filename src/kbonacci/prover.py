@@ -13,17 +13,24 @@ with the quotient written down explicitly, in integer coefficients, from
 triangle entries.  This module certifies that fact three independent
 ways:
 
-* long division of the composed polynomial by the base polynomial,
-* re-multiplication of the explicit quotient by the (negated) base,
-* a (k+1) x (k**2+1) product matrix tabulating the long-hand
-  multiplication, whose column sums must reproduce the composed
-  polynomial coefficient by coefficient.
+* long division of (X-1) times the composed polynomial by the trinomial
+  (X-1) * base = X**(k+1) - 2*X**k + 1, which must return the explicit
+  quotient and leave remainder 0,
+* the product (-base) * quotient, whose coefficient at X**c is the
+  window sum q[c] + ... + q[c-k+1] - q[c-k] of the quotient's
+  coefficients, slid along the quotient once; it must reproduce the
+  negated composed polynomial coefficient by coefficient,
+* a case analysis of the product matrix, whose row r (r < k) is the
+  quotient shifted right by r and whose row k is the negated quotient
+  shifted by k, so that its column sums are those window sums.
 
 The matrix columns fall into five families A-E, each with its own
 closed-form column sum (a triangle recursion step, a telescoping
 difference, a power-of-two identity, or a four-group cancellation);
 verify_case_sums recomputes every column's sum from the closed form of
-its family rather than by adding the column.
+its family rather than by adding the column.  Every step costs O(k**2)
+time and memory: the matrix keeps no cells, and makes a row only when
+it is printed.
 
 Functions that read triangle entries take the table rows = coeff_rows(k)
 and work out k as len(rows) - 1, so each certificate builds it once.
@@ -34,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ColumnOutOfRange, EmptyCoefficients, OrderTooSmall
+from .errors import ColumnOutOfRange, EmptyCoefficients, NotAnEColumn, OrderTooSmall
 from .intpoly import IntPoly
 from .triangles import coeff_entry, coeff_row, coeff_rows, diff_entry
 
@@ -129,11 +136,13 @@ class ProductMatrix:
     Row r (0 <= r <= k-1) holds the ascending coefficients of
     X**r * quotient; row k holds those of -X**k * quotient.  Column sums
     therefore tabulate (-base) * quotient and must reproduce
-    -stride_charpoly(X**k) column by column.
+    -stride_charpoly(X**k) column by column.  Only the quotient, the
+    column cases and the column sums are stored; row(r) makes a row's
+    cells when they are asked for.
     """
 
     k: int
-    rows: tuple[tuple[int, ...], ...]
+    quotient: IntPoly
     column_cases: tuple[str, ...]
     column_sums: tuple[int, ...]
 
@@ -145,58 +154,38 @@ class ProductMatrix:
     def row_labels(self) -> tuple[str, ...]:
         return tuple(f"X^{r}" for r in range(self.k)) + (f"-X^{self.k}",)
 
+    def row(self, r: int) -> tuple[int, ...]:
+        """Cells of row r: the quotient shifted right by r, negated in row k."""
+        poly = -self.quotient if r == self.k else self.quotient
+        cells = (0,) * r + poly.coeffs
+        return cells + (0,) * (self.width - len(cells))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.row(r) for r in range(self.k + 1))
+
 
 def build_matrix(rows: list[list[int]]) -> ProductMatrix:
     """Product matrix of (-base_charpoly(k)) * quotient_poly(rows), read
-    from rows = coeff_rows(k)."""
+    from rows = coeff_rows(k).
+
+    Rows 0..k-1 each add one shifted copy of the quotient q and row k
+    subtracts X**k * q, so column c sums to q[c] + ... + q[c-k+1] - q[c-k]:
+    one window of k coefficients slid along q, O(k**2) in all.
+    """
     k = len(rows) - 1
     quotient = quotient_poly(rows)
     width = k * k + 1
-    cells = []
-    for r, poly in [(r, quotient) for r in range(k)] + [(k, -quotient)]:
-        row = [0] * width
-        for e, c in enumerate(poly):
-            row[e + r] = c
-        cells.append(tuple(row))
-    sums = tuple(sum(col) for col in zip(*cells))
+    q = list(quotient.coeffs)
+    q += [0] * (width - len(q))
+    sums = []
+    window = 0  # q[c-k+1] + ... + q[c]
+    for c in range(width):
+        leaving = q[c - k] if c >= k else 0
+        window += q[c] - leaving
+        sums.append(window - leaving)
     cases = tuple(classify_column(k, c) for c in range(width))
-    return ProductMatrix(k, tuple(cells), cases, sums)
-
-
-def symbolic_matrix(k: int) -> list[list[str]]:
-    """Triangle-entry labels for every matrix cell.
-
-    "C(i,j)" / "D(i,j)" name coefficient- and difference-triangle entries,
-    "1" the quotient's leading coefficient, "" a structural zero.  Row 0
-    is read off the quotient's block structure; later rows shift it right
-    and the last row negates it, mirroring build_matrix.  Resolving each
-    label through the triangles must reproduce the numeric matrix.
-    """
-    _require_order(k)
-    width = k * k + 1
-
-    def row_zero(c: int) -> str:
-        if c == k * (k - 1):
-            return "1"
-        j, m = divmod(c, k)
-        if j > k - 2:
-            return ""
-        if m == 0:
-            return f"-C({k - 1},{k - 1 - j})"
-        if m <= j + 1:
-            return f"D({k - m},{k - 1 - j})"
-        return ""
-
-    def negate(label: str) -> str:
-        if not label:
-            return ""
-        return label[1:] if label.startswith("-") else "-" + label
-
-    out = []
-    for r in range(k):
-        out.append([row_zero(c - r) if c >= r else "" for c in range(width)])
-    out.append([negate(row_zero(c - k)) if c >= k else "" for c in range(width)])
-    return out
+    return ProductMatrix(k, quotient, cases, tuple(sums))
 
 
 def case_e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int]:
@@ -211,7 +200,7 @@ def case_e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int
     """
     k = len(rows) - 1
     if classify_column(k, c) != "E":
-        raise ValueError(f"column {c} of order {k} is not an E column")
+        raise NotAnEColumn(f"column {c} of order {k} is not an E column")
     j, m = divmod(c, k)
     lead = -coeff_entry(rows, k - 1, k - 1 - j)
     crossing = -diff_entry(rows, k - m, k - j)
@@ -287,11 +276,12 @@ class Certificate:
     """Everything checked while certifying one order k.
 
     division_matches: long division of stride_charpoly(X**k) by the base
-    polynomial left remainder 0 and returned the explicit quotient.
-    product_matches: (-base) * quotient re-multiplied to
+    polynomial (through the trinomial (X-1) * base) left remainder 0 and
+    returned the explicit quotient.  product_matches: the window sums of
+    the quotient, which are the coefficients of (-base) * quotient, equal
     -stride_charpoly(X**k).  matrix_verified: every column of matrix
-    passed its case check.  Double-entry on purpose: a bug in either
-    multiplication or division cannot slip through both.
+    passed its case check.  Double-entry on purpose: a bug in either the
+    product or the division cannot slip through both.
     """
 
     k: int
@@ -313,23 +303,33 @@ class Certificate:
 def certify_divisibility(k: int) -> Certificate:
     """Run the full certificate for one order; failures are recorded in
     the result, not raised.  The triangle is built once, as coeff_rows(k),
-    and every later step reads from that table."""
+    and every later step reads from that table.
+
+    Long division goes through the trinomial (X-1) * base =
+    X**(k+1) - 2*X**k + 1: dividing (X-1) * composed by it gives the same
+    quotient as dividing composed by base and (X-1) times the remainder,
+    which X-1 then divides exactly.  Each step of the long division
+    touches three divisor terms instead of k+1.
+    """
     base = base_charpoly(k)
     rows = coeff_rows(k)
     stride = identity_charpoly(rows[k][1:])
-    quotient = quotient_poly(rows)
     composed = stride.compose_power(k)
-    division_quotient, remainder = divmod(composed, base)
+    x_minus_one = IntPoly((-1, 1))
+    division_quotient, scaled_remainder = divmod(
+        composed * x_minus_one, base * x_minus_one
+    )
     matrix = build_matrix(rows)
     tallies = verify_case_sums(rows, matrix, composed)
     return Certificate(
         k=k,
         base_poly=base,
         stride_poly=stride,
-        quotient=quotient,
-        remainder=remainder,
-        division_matches=remainder.is_zero() and division_quotient == quotient,
-        product_matches=(-base) * quotient == -composed,
+        quotient=matrix.quotient,
+        remainder=scaled_remainder // x_minus_one,
+        division_matches=scaled_remainder.is_zero()
+        and division_quotient == matrix.quotient,
+        product_matches=IntPoly(matrix.column_sums) == -composed,
         matrix_verified=all(t.failed == 0 for t in tallies.values()),
         case_tallies=tallies,
         matrix=matrix,

@@ -106,6 +106,29 @@ class TestProve:
             "1", "-9", "31", "-49", "31", "-1",
         ]
 
+    def test_show_matrix_order_two_rows(self, capsys):
+        # structural zeros print as blank cells; the SUM row prints every sum
+        code, out = run_cli(capsys, "prove", "--k", "2", "--show-matrix", "--format", "tsv")
+        assert code == 0
+        assert out.splitlines()[-5:] == [
+            "case\tA\tB\tD\tD\tA",
+            "X^0\t-1\t1\t1\t\t",
+            "X^1\t\t-1\t1\t1\t",
+            "-X^2\t\t\t1\t-1\t-1",
+            "SUM\t-1\t0\t3\t0\t-1",
+        ]
+        code, out = run_cli(capsys, "prove", "--k", "2", "--show-matrix")
+        assert code == 0
+        assert out.splitlines()[-7:] == [
+            "| case | A | B | D | D | A |",
+            "| --- | --- | --- | --- | --- | --- |",
+            "| col | X^0 | X^1 | X^2 | X^3 | X^4 |",
+            "| X^0 | -1 | 1 | 1 |  |  |",
+            "| X^1 |  | -1 | 1 | 1 |  |",
+            "| -X^2 |  |  | 1 | -1 | -1 |",
+            "| SUM | -1 | 0 | 3 | 0 | -1 |",
+        ]
+
     def test_json_document(self, capsys):
         code, out = run_cli(capsys, "prove", "--k", "3", "--format", "json")
         assert code == 0

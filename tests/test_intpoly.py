@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kbonacci.errors import NonIntegralQuotient, WindowTooSmall
+from kbonacci.errors import (
+    BadCompositionPower,
+    NegativePower,
+    NonIntegralQuotient,
+    WindowTooSmall,
+    ZeroPolynomialDegree,
+)
 from kbonacci.intpoly import IntPoly
 
 
@@ -18,7 +24,7 @@ class TestBasics:
         assert poly(0, 0).coeffs == ()
 
     def test_zero_has_no_degree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroPolynomialDegree, match="the zero polynomial has no degree"):
             IntPoly.zero().degree
 
     def test_degree_and_monic(self):
@@ -83,6 +89,20 @@ class TestNeg:
         assert -(-p) == p
 
 
+class TestPow:
+    def test_square_and_cube(self):
+        p = poly(-1, -1, 1)
+        assert p**2 == p * p
+        assert p**3 == p * p * p
+
+    def test_zeroth_power_is_one(self):
+        assert poly(5, 0, -2) ** 0 == IntPoly.one()
+
+    def test_negative_power(self):
+        with pytest.raises(NegativePower, match="negative polynomial powers are not defined"):
+            poly(1, 1) ** -1
+
+
 class TestDivmod:
     def test_exact_division(self):
         # (X^4 - 3X^2 + 1) / (X^2 - X - 1) = X^2 + X - 1 exactly
@@ -132,8 +152,9 @@ class TestComposePower:
         assert out == IntPoly((-1, 0, 0, 5, 0, 0, -7, 0, 0, 1))
 
     def test_bad_power(self):
-        with pytest.raises(ValueError):
-            poly(1, 1).compose_power(0)
+        for k in (0, -1):
+            with pytest.raises(BadCompositionPower, match="composition power must be >= 1"):
+                poly(1, 1).compose_power(k)
 
 
 class TestReverse:
@@ -214,3 +235,57 @@ class TestAlgebraicProperties:
     def test_results_stay_normalized(self, a, b):
         for result in (a + b, a - b, a * b, -a):
             assert not result.coeffs or result.coeffs[-1] != 0
+
+
+def dense_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Schoolbook long division subtracting every divisor coefficient,
+    zeros included, at every step."""
+    rest, den = list(num.coeffs), list(den.coeffs)
+    dd = len(den) - 1
+    quot = [0] * max(0, len(rest) - dd)
+    for shift in range(len(rest) - dd - 1, -1, -1):
+        step, leftover = divmod(rest[shift + dd], den[-1])
+        if leftover:
+            raise NonIntegralQuotient("not integral")
+        quot[shift] = step
+        for i in range(dd + 1):
+            rest[shift + i] -= step * den[i]
+    return IntPoly(quot), IntPoly(rest)
+
+
+@st.composite
+def sparse_divisors(draw) -> IntPoly:
+    """Degree 1-30, leading coefficient +-1 or +-2, at most three other
+    nonzero terms (a trinomial such as X^(k+1) - 2X^k + 1 among them)."""
+    degree = draw(st.integers(min_value=1, max_value=30))
+    coeffs = [0] * degree + [draw(st.sampled_from([1, -1, 2, -2]))]
+    for i in draw(st.lists(st.integers(0, degree - 1), max_size=3)):
+        coeffs[i] = draw(small_ints.filter(bool))
+    return IntPoly(coeffs)
+
+
+class TestSparseDivisors:
+    @given(
+        sparse_divisors(),
+        st.lists(small_ints, max_size=80).map(IntPoly),
+        st.lists(small_ints, max_size=30).map(IntPoly),
+        st.booleans(),
+    )
+    def test_matches_dense_long_division(self, den, a, b, multiple):
+        # a multiple of den plus a short tail reaches the integral path even
+        # for leading coefficient +-2; a bare numerator mostly raises there
+        num = den * a + IntPoly(b.coeffs[: den.degree]) if multiple else a
+        try:
+            expected = dense_divmod(num, den)
+        except NonIntegralQuotient:
+            with pytest.raises(NonIntegralQuotient):
+                divmod(num, den)
+        else:
+            assert divmod(num, den) == expected
+
+    def test_trinomial_division(self):
+        # (X - 1) * (X^3 - X^2 - X - 1) = X^4 - 2X^3 + 1
+        trinomial = poly(1, 0, 0, -2, 1)
+        assert trinomial == poly(-1, 1) * poly(-1, -1, -1, 1)
+        num = poly(4, -7, 0, 9, 3, 0, 0, -5, 1)
+        assert divmod(num, trinomial) == dense_divmod(num, trinomial)

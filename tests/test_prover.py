@@ -5,7 +5,12 @@ import re
 import pytest
 
 from kbonacci import prover, triangles
-from kbonacci.errors import ColumnOutOfRange, EmptyCoefficients, OrderTooSmall
+from kbonacci.errors import (
+    ColumnOutOfRange,
+    EmptyCoefficients,
+    NotAnEColumn,
+    OrderTooSmall,
+)
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import (
     CASE_LABELS,
@@ -19,7 +24,6 @@ from kbonacci.prover import (
     identity_coefficients,
     quotient_poly,
     stride_charpoly,
-    symbolic_matrix,
     verify_case_sums,
 )
 from kbonacci.triangles import coeff_entry, coeff_rows, diff_entry
@@ -166,6 +170,41 @@ class TestMatrix:
             assert matrix.column_sums[k * k] == -1
 
 
+def symbolic_matrix(k: int) -> list[list[str]]:
+    """Triangle-entry labels for every matrix cell.
+
+    "C(i,j)" / "D(i,j)" name coefficient- and difference-triangle entries,
+    "1" the quotient's leading coefficient, "" a structural zero.  Row 0
+    is read off the quotient's block structure; later rows shift it right
+    and the last row negates it, mirroring build_matrix.  Resolving each
+    label through the triangles must reproduce the numeric matrix.
+    """
+    width = k * k + 1
+
+    def row_zero(c: int) -> str:
+        if c == k * (k - 1):
+            return "1"
+        j, m = divmod(c, k)
+        if j > k - 2:
+            return ""
+        if m == 0:
+            return f"-C({k - 1},{k - 1 - j})"
+        if m <= j + 1:
+            return f"D({k - m},{k - 1 - j})"
+        return ""
+
+    def negate(label: str) -> str:
+        if not label:
+            return ""
+        return label[1:] if label.startswith("-") else "-" + label
+
+    out = []
+    for r in range(k):
+        out.append([row_zero(c - r) if c >= r else "" for c in range(width)])
+    out.append([negate(row_zero(c - k)) if c >= k else "" for c in range(width)])
+    return out
+
+
 LABEL = re.compile(r"^(-?)([CD])\((\d+),(\d+)\)$")
 
 
@@ -199,11 +238,13 @@ class TestSymbolicMatrix:
     def test_labels_resolve_to_numeric_matrix(self):
         for k in range(2, 9):
             rows = coeff_rows(k)
-            numeric = build_matrix(rows)
+            numeric = build_matrix(rows).rows  # made on demand from the quotient
             cells = symbolic_matrix(k)
+            assert len(numeric) == len(cells) == k + 1
             for r in range(k + 1):
+                assert len(numeric[r]) == len(cells[r]) == k * k + 1
                 for c in range(k * k + 1):
-                    assert resolve_label(rows, cells[r][c]) == numeric.rows[r][c], (
+                    assert resolve_label(rows, cells[r][c]) == numeric[r][c], (
                         k, r, c, cells[r][c],
                     )
 
@@ -221,7 +262,7 @@ class TestCaseSums:
         assert case_e_group_sums(rows, 6) == (-7, 1, 6, 0)
 
     def test_group_sums_only_for_e_columns(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotAnEColumn, match="column 5 of order 5 is not an E column"):
             case_e_group_sums(coeff_rows(5), 5)
 
     def test_no_failures_up_to_order_twelve(self):
@@ -270,3 +311,64 @@ class TestCertificate:
             composed = stride_charpoly(k).compose_power(k)
             assert (-base) * quotient == -composed
             assert divmod(composed, base) == (quotient, IntPoly.zero())
+
+
+def dense_matrix(quotient: IntPoly, k: int):
+    """Every cell of the (k+1) x (k**2+1) product matrix written out, and
+    its column sums added up column by column."""
+    width = k * k + 1
+    cells = []
+    for r, poly in [(r, quotient) for r in range(k)] + [(k, -quotient)]:
+        row = [0] * width
+        for e, c in enumerate(poly):
+            row[e + r] = c
+        cells.append(tuple(row))
+    return tuple(cells), tuple(sum(col) for col in zip(*cells))
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("k", range(2, 61))
+    def test_matches_dense_matrix_and_product(self, k):
+        cert = certify_divisibility(k)
+        quotient = quotient_poly(coeff_rows(k))
+        dense_rows, dense_sums = dense_matrix(quotient, k)
+        assert cert.matrix.rows == dense_rows
+        assert cert.matrix.column_sums == dense_sums
+        composed = stride_charpoly(k).compose_power(k)
+        assert cert.product_matches is ((-base_charpoly(k)) * quotient == -composed)
+        assert cert.product_matches
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    @pytest.mark.parametrize("where", ["low", "middle", "lead"])
+    def test_perturbed_quotient_fails_every_route(self, k, where, monkeypatch):
+        def perturbed(rows):
+            q = list(quotient_poly(rows).coeffs)
+            q[{"low": 0, "middle": len(q) // 2, "lead": -1}[where]] += 1
+            return IntPoly(q)
+
+        monkeypatch.setattr(prover, "quotient_poly", perturbed)
+        cert = certify_divisibility(k)
+        assert cert.quotient == perturbed(coeff_rows(k))
+        assert not cert.division_matches
+        assert not cert.product_matches
+        assert not cert.matrix_verified
+        assert not cert.ok
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 20])
+    @pytest.mark.parametrize("offset", [(3, -2, 5), (4,)])
+    def test_nonzero_remainder_matches_plain_division(self, k, offset, monkeypatch):
+        # a constant offset leaves the division quotient equal to the explicit
+        # one, so only the remainder can fail the division route
+        def off_by_some(coefficients):
+            return identity_charpoly(coefficients) + IntPoly(offset)
+
+        monkeypatch.setattr(prover, "identity_charpoly", off_by_some)
+        cert = certify_divisibility(k)
+        composed = cert.stride_poly.compose_power(k)
+        plain_quotient, plain_remainder = divmod(composed, base_charpoly(k))
+        assert not plain_remainder.is_zero()
+        assert cert.remainder == plain_remainder
+        assert (plain_quotient == cert.quotient) is (len(offset) == 1)
+        assert not cert.division_matches
+        assert not cert.product_matches
+        assert not cert.ok
