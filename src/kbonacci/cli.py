@@ -16,18 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import NegativeRow, NotMonic, OrderTooSmall
 from .intpoly import IntPoly
-from .prover import (
-    CASE_LABELS,
-    Certificate,
-    ProductMatrix,
-    certify_divisibility,
-    identity_coefficients,
-)
+from .prover import Certificate, ProductMatrix, certify_divisibility, identity_coefficients
 from .sequences import check_identity, kbonacci, random_kbonacci
 from .triangles import coeff_rows, diff_rows
 
@@ -38,16 +33,34 @@ def _dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _markdown_table(header: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("| " + " | ".join("---" for _ in header) + " |")
+def _write_rows(
+    fmt: str, rows: Iterable[Iterable[str]], header: Sequence[str] = ()
+) -> None:
+    """Write rows of cells: tab-separated lines for tsv, or a markdown table
+    under header.  Each row is written as soon as it is made."""
+    write = sys.stdout.write
+    if fmt == "tsv":
+        for row in rows:
+            write("\t".join(row) + "\n")
+        return
+    write("| " + " | ".join(header) + " |\n")
+    write("| " + " | ".join("---" for _ in header) + " |\n")
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
+        write("| " + " | ".join(row) + " |\n")
 
 
-def _tsv_rows(rows: list[list[str]]) -> list[str]:
-    return ["\t".join(row) for row in rows]
+def _write_json_rows(rows: Iterable[Iterable[int]], depth: int) -> None:
+    """Write the bytes _dump_json gives a list of rows of ints standing at
+    nesting depth `depth`, one row at a time.  The list and every row must
+    be nonempty."""
+    outer, row_pad, cell_pad = ("\n" + "  " * d for d in (depth, depth + 1, depth + 2))
+    write = sys.stdout.write
+    separator = "["
+    for row in rows:
+        cells = ("," + cell_pad).join(map(str, row))
+        write(separator + row_pad + "[" + cell_pad + cells + row_pad + "]")
+        separator = ","
+    write(outer + "]")
 
 
 def _identity_text(coefficients: list[int], stride: int) -> str:
@@ -63,25 +76,18 @@ def _identity_text(coefficients: list[int], stride: int) -> str:
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
     rows = coeff_rows(args.rows) if args.kind == "p" else diff_rows(args.rows)
-    write = sys.stdout.write
     if args.format == "json":
-        # the bytes of _dump_json(rows), a row at a time: rows are nonempty
-        # lists of ints
-        separator = "["
-        for row in rows:
-            write(separator + "\n  [\n    " + ",\n    ".join(map(str, row)) + "\n  ]")
-            separator = ","
-        write("\n]\n")
+        _write_json_rows(rows, depth=0)
+        sys.stdout.write("\n")
     elif args.format == "tsv":
-        for row in rows:
-            write("\t".join(map(str, row)) + "\n")
+        _write_rows("tsv", (map(str, row) for row in rows))
     else:
         width = args.rows + 1
-        for line in _markdown_table(["row/col"] + [str(j) for j in range(width)], []):
-            write(line + "\n")
-        for i, row in enumerate(rows):
-            cells = [str(i), *map(str, row)] + ["0"] * (width - len(row))
-            write("| " + " | ".join(cells) + " |\n")
+        padded = (
+            [str(i), *map(str, row)] + ["0"] * (width - len(row))
+            for i, row in enumerate(rows)
+        )
+        _write_rows("markdown", padded, ["row/col", *map(str, range(width))])
     return 0
 
 
@@ -94,32 +100,6 @@ def _matrix_rows(matrix: ProductMatrix) -> Iterator[list[str]]:
     for r, label in enumerate(matrix.row_labels):
         yield [label] + [str(v) if v else "" for v in matrix.row(r)]
     yield ["SUM"] + [str(s) for s in matrix.column_sums]
-
-
-def _write_matrix_json(doc: dict, matrix: ProductMatrix) -> None:
-    """Print _dump_json(doc) with the matrix under doc["matrix"], making one
-    row of the matrix at a time.
-
-    The document is dumped with "rows", the last key of "matrix", empty;
-    the rows, nonempty lists of ints at a fixed depth, are then written
-    where the empty list stands, in the bytes json.dumps would give them.
-    """
-    doc["matrix"] = {
-        "k": matrix.k,
-        "case_row": list(matrix.column_cases),
-        "row_labels": list(matrix.row_labels),
-        "rows": [],
-        "column_sums": list(matrix.column_sums),
-    }
-    head, _, tail = _dump_json(doc).partition('"rows": []')
-    write = sys.stdout.write
-    write(head + '"rows": [')
-    separator = "\n"
-    for r in range(matrix.k + 1):
-        cells = ",\n        ".join(map(str, matrix.row(r)))
-        write(separator + "      [\n        " + cells + "\n      ]")
-        separator = ",\n"
-    write("\n    ]" + tail + "\n")
 
 
 def _certificate_fields(cert: Certificate) -> list[tuple[str, str]]:
@@ -168,15 +148,23 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         if matrix is None:
             print(_dump_json(doc))
         else:
-            _write_matrix_json(doc, matrix)
+            doc["matrix"] = {
+                "k": matrix.k,
+                "case_row": list(matrix.column_cases),
+                "row_labels": list(matrix.row_labels),
+                "rows": [],
+                "column_sums": list(matrix.column_sums),
+            }
+            # the rows, made one at a time, go where the empty list stands
+            head, _, tail = _dump_json(doc).partition('"rows": []')
+            write(head + '"rows": ')
+            _write_json_rows(map(matrix.row, range(matrix.k + 1)), depth=2)
+            write(tail + "\n")
     elif args.format == "tsv":
-        fields = [[key, value] for key, value in _certificate_fields(cert)]
-        for line in _tsv_rows(fields):
-            print(line)
+        _write_rows("tsv", _certificate_fields(cert))
         if matrix is not None:
-            write("\t".join(["case"] + list(matrix.column_cases)) + "\n")
-            for cells in _matrix_rows(matrix):
-                write("\t".join(cells) + "\n")
+            case_row = ["case", *matrix.column_cases]
+            _write_rows("tsv", chain([case_row], _matrix_rows(matrix)))
     else:
         print(f"# Divisibility certificate, order {cert.k}")
         print()
@@ -184,12 +172,12 @@ def _cmd_prove(args: argparse.Namespace) -> int:
             print(f"- {key}: {value}")
         if matrix is not None:
             print()
-            header = ["case"] + list(matrix.column_cases)
             columns = ["col"] + [f"X^{c}" for c in range(matrix.width)]
-            for line in _markdown_table(header, [columns]):
-                print(line)
-            for cells in _matrix_rows(matrix):
-                write("| " + " | ".join(cells) + " |\n")
+            _write_rows(
+                "markdown",
+                chain([columns], _matrix_rows(matrix)),
+                ["case", *matrix.column_cases],
+            )
     return 0 if cert.ok else 1
 
 
@@ -205,6 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = check_identity(rec, coefficients, k, args.n_from, args.n_to)
     tallies = report.residue_tallies(k)
     verdict = "PASS" if report.ok else "FAIL"
+    rows = [[str(r), str(c), str(f)] for r, (c, f) in tallies.items()]
     if args.format == "json":
         doc = {
             "k": k,
@@ -224,11 +213,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         }
         print(_dump_json(doc))
     elif args.format == "tsv":
-        rows = [[str(r), str(c), str(f)] for r, (c, f) in tallies.items()]
         rows.append(["total", str(report.checked), str(len(report.failures))])
         rows.append(["verdict", verdict, ""])
-        for line in _tsv_rows(rows):
-            print(line)
+        _write_rows("tsv", rows)
     else:
         seeds = ", ".join(str(v) for v in rec.initial)
         source = (
@@ -242,10 +229,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"- identity: {_identity_text(coefficients, k)}")
         print(f"- range: n in [{args.n_from}, {args.n_to}], {report.checked} indices")
         print()
-        header = [f"residue mod {k}", "checked", "failed"]
-        body = [[str(r), str(c), str(f)] for r, (c, f) in tallies.items()]
-        for line in _markdown_table(header, body):
-            print(line)
+        _write_rows("markdown", rows, [f"residue mod {k}", "checked", "failed"])
         print()
         if report.first_counterexample is not None:
             n, actual, predicted = report.first_counterexample
@@ -288,12 +272,8 @@ def _cmd_decimate(args: argparse.Namespace) -> int:
         }
         print(_dump_json(doc))
     elif args.format == "tsv":
-        rows = [
-            ["decimated", str(decimated)],
-            ["recurrence", ",".join(str(c) for c in coefficients)],
-        ]
-        for line in _tsv_rows(rows):
-            print(line)
+        recurrence = ",".join(map(str, coefficients))
+        _write_rows("tsv", [["decimated", str(decimated)], ["recurrence", recurrence]])
     else:
         print(f"- input: {poly} (stride {args.stride})")
         print(f"- decimated characteristic polynomial: {decimated}")
@@ -327,30 +307,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.k_min > args.k_max:
         raise _UsageError("--k-min must not exceed --k-max")
     results = [_sweep_row(k) for k in range(args.k_min, args.k_max + 1)]
-    all_ok = all(
-        row["divisibility"] and row["cases"] and row["oracle"] and row["numeric"]
-        for row in results
-    )
-    verdict = "PASS" if all_ok else "FAIL"
     columns = ("divisibility", "cases", "oracle", "numeric")
+    all_ok = all(row[c] for row in results for c in columns)
+    verdict = "PASS" if all_ok else "FAIL"
+    rows = [
+        [str(row["k"])] + ["PASS" if row[c] else "FAIL" for c in columns]
+        for row in results
+    ]
     if args.format == "json":
         print(_dump_json({"results": results, "verdict": verdict}))
     elif args.format == "tsv":
-        rows = [
-            [str(row["k"])] + ["PASS" if row[c] else "FAIL" for c in columns]
-            for row in results
-        ]
-        rows.append(["verdict", verdict, "", "", ""])
-        for line in _tsv_rows(rows):
-            print(line)
+        _write_rows("tsv", rows + [["verdict", verdict, "", "", ""]])
     else:
-        header = ["k", *columns]
-        body = [
-            [str(row["k"])] + ["PASS" if row[c] else "FAIL" for c in columns]
-            for row in results
-        ]
-        for line in _markdown_table(header, body):
-            print(line)
+        _write_rows("markdown", rows, ["k", *columns])
         print()
         print(f"verdict: {verdict}")
     return 0 if all_ok else 1

@@ -17,10 +17,6 @@ class NonIntegralQuotient(ArithmeticError):
     """A polynomial long-division step would need a fractional coefficient."""
 
 
-class WindowTooSmall(ValueError):
-    """Coefficient-reversal window shorter than the polynomial's degree."""
-
-
 class NonIntegralBackwardStep(ArithmeticError):
     """Backward extension of a recurrence hit a non-integer value."""
 
@@ -43,6 +39,14 @@ class ColumnOutOfRange(ValueError):
 
 class EmptyCoefficients(ValueError):
     """A recurrence needs at least one coefficient."""
+
+
+class SeedCountMismatch(ValueError):
+    """A recurrence given a number of seed values other than its order."""
+
+
+class BadModulus(ValueError):
+    """Residue classes asked for a modulus below 1."""
 
 
 class NotMonic(ValueError):

@@ -22,7 +22,6 @@ from .errors import (
     BadCompositionPower,
     NegativePower,
     NonIntegralQuotient,
-    WindowTooSmall,
     ZeroPolynomialDegree,
 )
 
@@ -187,19 +186,6 @@ class IntPoly:
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
         return IntPoly(out)
-
-    def reverse(self, n: int) -> IntPoly:
-        """Return X**n * p(1/X): coefficients reversed within window n+1."""
-        if n < 0:
-            raise WindowTooSmall("reversal window must be >= 0")
-        if not self.coeffs:
-            return self
-        if n < len(self.coeffs) - 1:
-            raise WindowTooSmall(
-                f"window {n} is smaller than degree {len(self.coeffs) - 1}"
-            )
-        padded = list(self.coeffs) + [0] * (n + 1 - len(self.coeffs))
-        return IntPoly(reversed(padded))
 
     def evaluate(self, x: int) -> int:
         """Exact value at an integer point (Horner)."""

@@ -28,9 +28,10 @@ The matrix columns fall into five families A-E, each with its own
 closed-form column sum (a triangle recursion step, a telescoping
 difference, a power-of-two identity, or a four-group cancellation);
 verify_case_sums recomputes every column's sum from the closed form of
-its family rather than by adding the column.  Every step costs O(k**2)
-time and memory: the matrix keeps no cells, and makes a row only when
-it is printed.
+its family rather than by adding the column; it reads the family from
+the matrix's case row, so each column is classified once.  Every step
+costs O(k**2) time and memory: the matrix keeps no cells, and makes a
+row only when it is printed.
 
 Functions that read triangle entries take the table rows = coeff_rows(k)
 and work out k as len(rows) - 1, so each certificate builds it once.
@@ -201,6 +202,11 @@ def case_e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int
     k = len(rows) - 1
     if classify_column(k, c) != "E":
         raise NotAnEColumn(f"column {c} of order {k} is not an E column")
+    return _e_group_sums(rows, c)
+
+
+def _e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int]:
+    k = len(rows) - 1
     j, m = divmod(c, k)
     lead = -coeff_entry(rows, k - 1, k - 1 - j)
     crossing = -diff_entry(rows, k - m, k - j)
@@ -212,28 +218,29 @@ def case_e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int
 def expected_column_sum(rows: list[list[int]], c: int) -> int:
     """Column sum predicted by the column's case argument, not by adding
     the column; entries are read from rows = coeff_rows(k)."""
+    return _case_sum(rows, classify_column(len(rows) - 1, c), c)
+
+
+def _case_sum(rows: list[list[int]], label: str, c: int) -> int:
+    """expected_column_sum for column c, whose case label is given."""
     k = len(rows) - 1
-    label = classify_column(k, c)
     if label == "A":
         # column 0 holds only the quotient's constant term; column k*k
         # only the negated leading term
         return coeff_entry(rows, k, k) if c == 0 else -1
     j, m = divmod(c, k)
     if label == "B":
-        # head term plus the telescoped difference column cancel exactly
-        col = k - 1 - j
-        head = -coeff_entry(rows, k - 1, col)
-        telescoped = coeff_entry(rows, k - 1, col)
-        return head + telescoped
+        # the head term -C[k-1][k-1-j] and the difference column below it,
+        # which telescopes to C[k-1][k-1-j], cancel exactly
+        return 0
     if label == "C":
         # one triangle recursion step: equals C[k][k-j]
         return 2 * coeff_entry(rows, k - 1, k - j) - coeff_entry(rows, k - 1, k - j - 1)
     if label == "D":
-        # geometric sums of powers of two
-        if m == 0:
-            return 1 + (2 ** (k - 1) - 1) + (2 ** (k - 1) - 1)
-        return 1 + (2 ** (k - 1 - m) - 1) - 2 ** (k - m - 1)
-    return sum(case_e_group_sums(rows, c))
+        # geometric sums of powers of two: 1 + 2*(2**(k-1) - 1) in the
+        # block's first column, 1 + (2**(k-1-m) - 1) - 2**(k-1-m) after it
+        return 2**k - 1 if m == 0 else 0
+    return sum(_e_group_sums(rows, c))
 
 
 @dataclass(frozen=True)
@@ -260,7 +267,7 @@ def verify_case_sums(
     failed: dict[str, list[int]] = {label: [] for label in CASE_LABELS}
     for c in range(k * k + 1):
         label = matrix.column_cases[c]
-        expected = expected_column_sum(rows, c)
+        expected = _case_sum(rows, label, c)
         if expected == matrix.column_sums[c] == -composed.coeff(c):
             passed[label] += 1
         else:

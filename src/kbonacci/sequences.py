@@ -31,11 +31,13 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
+    BadModulus,
     BadStride,
     EmptyCoefficients,
     NonIntegralBackwardStep,
     NotSolvableBackward,
     OrderTooSmall,
+    SeedCountMismatch,
     WindowTooNarrow,
 )
 from .intpoly import IntPoly
@@ -75,7 +77,7 @@ class LinearRecurrence:
         if not self.coefficients:
             raise EmptyCoefficients("a recurrence needs at least one coefficient")
         if len(self.coefficients) != len(self.initial):
-            raise ValueError(
+            raise SeedCountMismatch(
                 f"{len(self.coefficients)} coefficients need "
                 f"{len(self.coefficients)} seed values, got {len(self.initial)}"
             )
@@ -201,7 +203,7 @@ class IdentityReport:
     def residue_tallies(self, mod: int) -> dict[int, tuple[int, int]]:
         """Per residue class of the index: (indices checked, failures)."""
         if mod < 1:
-            raise ValueError("modulus must be positive")
+            raise BadModulus("modulus must be positive")
         failed = dict.fromkeys(range(mod), 0)
         for n, _, _ in self.failures:
             failed[n % mod] += 1

@@ -20,15 +20,14 @@ the explicit quotient polynomial used by the divisibility certificate in
 Callers build the rows of C once with coeff_rows; coeff_entry and
 diff_entry read single entries of either triangle from that table.
 
-Both triangles admit independent closed-form constructions (binomial
-expansions of shifted powers); those live here as cross-checks against
-the recursion.
+Both triangles also have closed forms that do not use the recursion
+(binomial expansions of shifted powers).  They are reference oracles and
+live in the tests, not here.
 """
 
 from __future__ import annotations
 
-from .errors import NegativeRow, OrderTooSmall
-from .intpoly import IntPoly
+from .errors import NegativeRow
 
 
 def coeff_rows(n: int) -> list[list[int]]:
@@ -78,42 +77,3 @@ def diff_entry(rows: list[list[int]], i: int, j: int) -> int:
     if i == 0:
         return 0
     return coeff_entry(rows, i, j) - coeff_entry(rows, i - 1, j)
-
-
-def coeff_row_from_charpoly(k: int) -> list[int]:
-    """Row k of the coefficient triangle rebuilt without the recursion.
-
-    Evaluates the order-k recurrence polynomial at 2 - Y, reverses the
-    coefficients through degree k, and reads the row off the reversed
-    polynomial.  Must agree with coeff_row(k); used as a cross-check.
-    """
-    if k < 2:
-        raise OrderTooSmall(f"order {k} is below 2")
-    two_minus_y = IntPoly((2, -1))
-    powers = [IntPoly.one()]
-    for _ in range(k):
-        powers.append(powers[-1] * two_minus_y)
-    shifted = powers[k]
-    for i in range(k):
-        shifted = shifted - powers[i]
-    reversed_poly = shifted.reverse(k)
-    return [-1] + [-reversed_poly.coeff(k - i) for i in range(1, k + 1)]
-
-
-def diff_row_from_binomial(n: int) -> list[int]:
-    """Row n of the difference triangle as the coefficients of X*(2-X)**(n-1).
-
-    Independent of the recursion; must agree with diff_row(n) for n >= 1.
-    """
-    if n < 1:
-        raise NegativeRow(f"binomial construction needs row >= 1, got {n}")
-    poly = IntPoly((0, 1)) * IntPoly((2, -1)) ** (n - 1)
-    return [poly.coeff(j) for j in range(n + 1)]
-
-
-def column_one_closed_form(n: int) -> bool:
-    """True iff C[n][1] == 2**n - 1 and D[n][1] == 2**(n-1)."""
-    if n < 1:
-        raise NegativeRow(f"closed form needs row >= 1, got {n}")
-    rows = coeff_rows(n)
-    return coeff_entry(rows, n, 1) == 2**n - 1 and diff_entry(rows, n, 1) == 2**(n - 1)

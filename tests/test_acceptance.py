@@ -33,7 +33,6 @@ from kbonacci.sequences import (
 from kbonacci.triangles import (
     coeff_entry,
     coeff_rows,
-    column_one_closed_form,
     diff_entry,
     diff_rows,
 )
@@ -200,7 +199,12 @@ def test_criterion_08_worked_examples():
 
 def test_criterion_09_closed_forms():
     with criterion(9, "triangle closed forms and telescoping", 10.0):
-        assert all(column_one_closed_form(n) for n in range(1, 65))
+        # column 1 in closed form: C[n][1] = 2**n - 1 and D[n][1] = 2**(n-1)
+        rows64 = coeff_rows(64)
+        assert all(
+            coeff_entry(rows64, n, 1) == 2**n - 1 and diff_entry(rows64, n, 1) == 2 ** (n - 1)
+            for n in range(1, 65)
+        )
         for k in range(1, 31):
             rows = coeff_rows(k)
             assert -coeff_entry(rows, k - 1, k - 1) == coeff_entry(rows, k, k), k

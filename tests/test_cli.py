@@ -287,6 +287,27 @@ class TestSweep:
         assert "verdict: FAIL" in out
 
 
+GOLDEN_REQUESTS = {
+    "prove_k5": ["prove", "--k", "5"],
+    "prove_k5_matrix": ["prove", "--k", "5", "--show-matrix"],
+    "verify_k3": ["verify", "--k", "3", "--n-from", "-10", "--n-to", "40"],
+    "verify_k3_seed7": ["verify", "--k", "3", "--n-from", "-10", "--n-to", "40", "--seed", "7"],
+    "decimate_stride2": ["decimate", "--charpoly", "1,-2,-1", "--stride", "2"],
+    "sweep_k2_6": ["sweep", "--k-min", "2", "--k-max", "6"],
+}
+GOLDEN_SUFFIX = {"tsv": "tsv", "markdown": "md", "json": "json"}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("fmt", list(GOLDEN_SUFFIX))
+    @pytest.mark.parametrize("name", list(GOLDEN_REQUESTS))
+    def test_stdout_matches_golden(self, capsys, name, fmt):
+        code, out = run_cli(capsys, *GOLDEN_REQUESTS[name], "--format", fmt)
+        assert code == 0
+        golden = DATA / f"{name}.{GOLDEN_SUFFIX[fmt]}"
+        assert out == golden.read_text(encoding="utf-8")
+
+
 class TestJsonStability:
     @pytest.mark.parametrize(
         "argv",

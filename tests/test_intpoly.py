@@ -7,7 +7,6 @@ from kbonacci.errors import (
     BadCompositionPower,
     NegativePower,
     NonIntegralQuotient,
-    WindowTooSmall,
     ZeroPolynomialDegree,
 )
 from kbonacci.intpoly import IntPoly
@@ -155,27 +154,6 @@ class TestComposePower:
         for k in (0, -1):
             with pytest.raises(BadCompositionPower, match="composition power must be >= 1"):
                 poly(1, 1).compose_power(k)
-
-
-class TestReverse:
-    def test_reversal_at_own_degree(self):
-        # -X^3 + 5X^2 - 7X + 1 reversed through degree 3: X^3 - 7X^2 + 5X - 1
-        assert poly(1, -7, 5, -1).reverse(3) == poly(-1, 5, -7, 1)
-
-    def test_zero_reverses_to_zero(self):
-        assert IntPoly.zero().reverse(5) == IntPoly.zero()
-
-    def test_involution_with_nonzero_constant(self):
-        p = poly(3, 0, -2, 7)
-        assert p.reverse(3).reverse(3) == p
-
-    def test_window_too_small(self):
-        with pytest.raises(WindowTooSmall):
-            poly(1, 0, 1).reverse(1)
-
-    def test_wider_window_shifts(self):
-        # X + 1 through degree 3: X^3 + X^2
-        assert poly(1, 1).reverse(3) == IntPoly((0, 0, 1, 1))
 
 
 class TestEvaluate:

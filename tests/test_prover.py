@@ -300,6 +300,18 @@ class TestCertificate:
         assert certify_divisibility(k).ok
         assert calls == [k]
 
+    @pytest.mark.parametrize("k", [2, 5, 12, 25])
+    def test_classifies_each_column_once(self, k, monkeypatch):
+        calls = []
+
+        def counting_classify_column(order, c):
+            calls.append(c)
+            return classify_column(order, c)
+
+        monkeypatch.setattr(prover, "classify_column", counting_classify_column)
+        assert certify_divisibility(k).ok
+        assert len(calls) == k * k + 1
+
     def test_order_twenty_five(self):
         for k in (25, 40, 60):
             assert certify_divisibility(k).ok, k

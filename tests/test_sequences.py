@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kbonacci.errors import (
+    BadModulus,
     BadStride,
     EmptyCoefficients,
     NonIntegralBackwardStep,
     NotSolvableBackward,
     OrderTooSmall,
+    SeedCountMismatch,
     WindowTooNarrow,
 )
 from kbonacci.prover import identity_coefficients
@@ -233,6 +235,15 @@ class TestErrorTypes:
     def test_stride_below_one(self):
         with pytest.raises(BadStride, match="stride must be >= 1, got 0"):
             check_identity(kbonacci(2), [3, -1], 0, 0, 10)
+
+    def test_seed_count_mismatch(self):
+        with pytest.raises(SeedCountMismatch, match="2 coefficients need 2 seed values, got 3"):
+            LinearRecurrence((1, 1), (0, 1, 1))
+
+    def test_modulus_below_one(self):
+        report = check_identity(kbonacci(2), [3, -1], 2, 0, 10)
+        with pytest.raises(BadModulus, match="modulus must be positive"):
+            report.residue_tallies(0)
 
 
 class TestResidueTallies:

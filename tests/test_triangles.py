@@ -3,15 +3,13 @@
 import pytest
 
 from kbonacci.errors import NegativeRow
+from kbonacci.intpoly import IntPoly
 from kbonacci.triangles import (
     coeff_entry,
     coeff_row,
-    coeff_row_from_charpoly,
     coeff_rows,
-    column_one_closed_form,
     diff_entry,
     diff_row,
-    diff_row_from_binomial,
     diff_rows,
 )
 
@@ -34,6 +32,37 @@ DIFF_ROWS_0_TO_6 = [
     [0, 16, -32, 24, -8, 1],
     [0, 32, -80, 80, -40, 10, -1],
 ]
+
+
+
+# --- reference oracles: the triangles rebuilt without the recursion ---------
+
+
+def coeff_row_from_charpoly(k: int) -> list[int]:
+    """Row k of the coefficient triangle from the order-k recurrence
+    polynomial evaluated at 2 - Y: (2-Y)**k - sum_{i<k} (2-Y)**i has
+    coefficient -C[k][i] at Y**i for 1 <= i <= k."""
+    two_minus_y = IntPoly((2, -1))
+    powers = [IntPoly.one()]
+    for _ in range(k):
+        powers.append(powers[-1] * two_minus_y)
+    shifted = powers[k]
+    for i in range(k):
+        shifted = shifted - powers[i]
+    return [-1] + [-shifted.coeff(i) for i in range(1, k + 1)]
+
+
+def diff_row_from_binomial(n: int) -> list[int]:
+    """Row n >= 1 of the difference triangle as the coefficients of
+    X*(2-X)**(n-1)."""
+    poly = IntPoly((0, 1)) * IntPoly((2, -1)) ** (n - 1)
+    return [poly.coeff(j) for j in range(n + 1)]
+
+
+def column_one_closed_form(n: int) -> bool:
+    """True iff C[n][1] == 2**n - 1 and D[n][1] == 2**(n-1), for n >= 1."""
+    rows = coeff_rows(n)
+    return coeff_entry(rows, n, 1) == 2**n - 1 and diff_entry(rows, n, 1) == 2**(n - 1)
 
 
 class TestRows:
