@@ -9,15 +9,23 @@ coefficient arrays.
 
 Exit codes: 0 when every requested check passed, 1 on a verification
 failure, 2 on usage errors.
+
+The command line is read from one table, _COMMANDS, which gives each
+command's handler, positional argument and flags; the help text is made
+from the same table.  A flag is given as `--flag value` or `--flag=value`,
+spelled out in full (no abbreviations); a value may be a negative integer.
+A repeated flag keeps its last value.  `-h`/`--help`, at the top level or
+after a command, prints usage to stdout and exits 0.  Every usage error is
+the single stderr line `kbonacci: error: <message>` and exit code 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import NegativeRow, NotMonic, OrderTooSmall
@@ -74,7 +82,7 @@ def _identity_text(coefficients: list[int], stride: int) -> str:
 # --- triangle ---------------------------------------------------------------
 
 
-def _cmd_triangle(args: argparse.Namespace) -> int:
+def _cmd_triangle(args: SimpleNamespace) -> int:
     rows = coeff_rows(args.rows) if args.kind == "p" else diff_rows(args.rows)
     if args.format == "json":
         _write_json_rows(rows, depth=0)
@@ -125,7 +133,7 @@ def _certificate_fields(cert: Certificate) -> list[tuple[str, str]]:
     ]
 
 
-def _cmd_prove(args: argparse.Namespace) -> int:
+def _cmd_prove(args: SimpleNamespace) -> int:
     cert = certify_divisibility(args.k)
     matrix = cert.matrix if args.show_matrix else None
     write = sys.stdout.write
@@ -184,7 +192,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 # --- verify -----------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     k = args.k
     if args.n_from > args.n_to:
         raise _UsageError("--n-from must not exceed --n-to")
@@ -257,7 +265,7 @@ def _parse_charpoly(text: str) -> IntPoly:
     return poly
 
 
-def _cmd_decimate(args: argparse.Namespace) -> int:
+def _cmd_decimate(args: SimpleNamespace) -> int:
     if args.stride < 1:
         raise _UsageError("--stride must be >= 1")
     poly = _parse_charpoly(args.charpoly)
@@ -301,7 +309,7 @@ def _sweep_row(k: int) -> dict:
     }
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     if args.k_min < 2:
         raise _UsageError("--k-min must be >= 2")
     if args.k_min > args.k_max:
@@ -325,100 +333,211 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-# --- parser -----------------------------------------------------------------
+# --- command table ----------------------------------------------------------
 
 
 class _UsageError(Exception):
-    """Semantic usage error; reported through argparse (exit code 2)."""
+    """Bad command line, found by the parser or a handler (exit code 2)."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kbonacci",
-        description=(
-            "Exact-arithmetic toolkit for the stride self-similarity "
-            "identities of k-step Fibonacci sequences."
-        ),
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=FORMATS,
-        default="markdown",
-        help="output format (default: markdown)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # default of a flag that must be given
+_HELP = ("-h", "--help")
+_FORMAT = {"--format": (FORMATS, "markdown", "output format (default: markdown)")}
 
-    tri = sub.add_parser(
-        "triangle",
-        parents=[common],
-        help="print rows of the coefficient (p) or difference (q) triangle",
-    )
-    tri.add_argument("kind", choices=("p", "q"))
-    tri.add_argument("--rows", type=int, required=True, help="last row to print")
-    tri.set_defaults(handler=_cmd_triangle)
+# name: (handler, help, positional, flags).  The positional is None or
+# (attribute, choices).  Each flag maps to (type, default, help), where type
+# is int, str, bool (a switch, which takes no value) or a tuple of choices;
+# the handler reads flag --n-from as args.n_from.
+_COMMANDS = {
+    "triangle": (
+        _cmd_triangle,
+        "print rows of the coefficient (p) or difference (q) triangle",
+        ("kind", ("p", "q")),
+        {"--rows": (int, _REQUIRED, "last row to print"), **_FORMAT},
+    ),
+    "prove": (
+        _cmd_prove,
+        "certify the stride-k identity by exact polynomial division",
+        None,
+        {
+            "--k": (int, _REQUIRED, "recurrence order, >= 2"),
+            "--show-matrix": (
+                bool,
+                False,
+                "also print the product matrix with case header and SUM row",
+            ),
+            **_FORMAT,
+        },
+    ),
+    "verify": (
+        _cmd_verify,
+        "check the stride-k identity numerically over an index range",
+        None,
+        {
+            "--k": (int, _REQUIRED, "recurrence order, >= 2"),
+            "--n-from": (int, _REQUIRED, "first index checked"),
+            "--n-to": (int, _REQUIRED, "last index checked"),
+            "--seed": (
+                int,
+                None,
+                "use random seed values drawn from this seed instead of 0,..,0,1",
+            ),
+            **_FORMAT,
+        },
+    ),
+    "decimate": (
+        _cmd_decimate,
+        "characteristic polynomial of a stride-s subsequence",
+        None,
+        {
+            "--charpoly": (
+                str,
+                _REQUIRED,
+                "comma-separated descending coefficients, leading 1 first",
+            ),
+            "--stride": (int, _REQUIRED, "stride s, >= 1"),
+            **_FORMAT,
+        },
+    ),
+    "sweep": (
+        _cmd_sweep,
+        "run certificate, oracle and numeric checks over a range of k",
+        None,
+        {
+            "--k-min": (int, _REQUIRED, "first order, >= 2"),
+            "--k-max": (int, _REQUIRED, "last order"),
+            **_FORMAT,
+        },
+    ),
+}
 
-    prove = sub.add_parser(
-        "prove",
-        parents=[common],
-        help="certify the stride-k identity by exact polynomial division",
-    )
-    prove.add_argument("--k", type=int, required=True, help="recurrence order, >= 2")
-    prove.add_argument(
-        "--show-matrix",
-        action="store_true",
-        help="also print the product matrix with case header and SUM row",
-    )
-    prove.set_defaults(handler=_cmd_prove)
 
-    verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="check the stride-k identity numerically over an index range",
-    )
-    verify.add_argument("--k", type=int, required=True, help="recurrence order, >= 2")
-    verify.add_argument("--n-from", type=int, required=True)
-    verify.add_argument("--n-to", type=int, required=True)
-    verify.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="use random seed values drawn from this seed instead of 0,..,0,1",
-    )
-    verify.set_defaults(handler=_cmd_verify)
+def _flag_text(flag: str, kind: object) -> str:
+    if kind is bool:
+        return flag
+    return f"{flag} " + ({int: "INT", str: "TEXT"}.get(kind) or "{" + ",".join(kind) + "}")
 
-    dec = sub.add_parser(
-        "decimate",
-        parents=[common],
-        help="characteristic polynomial of a stride-s subsequence",
-    )
-    dec.add_argument(
-        "--charpoly",
-        required=True,
-        help="comma-separated descending coefficients, leading 1 first",
-    )
-    dec.add_argument("--stride", type=int, required=True)
-    dec.set_defaults(handler=_cmd_decimate)
 
-    sweep = sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="run certificate, oracle and numeric checks over a range of k",
-    )
-    sweep.add_argument("--k-min", type=int, required=True)
-    sweep.add_argument("--k-max", type=int, required=True)
-    sweep.set_defaults(handler=_cmd_sweep)
+def _synopsis(name: str) -> str:
+    """The command and its arguments, optional ones in brackets."""
+    _, _, positional, flags = _COMMANDS[name]
+    parts = [name] if positional is None else [name, "{" + ",".join(positional[1]) + "}"]
+    for flag, (kind, default, _) in flags.items():
+        text = _flag_text(flag, kind)
+        parts.append(text if default is _REQUIRED else f"[{text}]")
+    return " ".join(parts)
 
-    return parser
+
+def _help(name: str | None) -> str:
+    """Usage of one command with its flags, or of every command."""
+    if name is None:
+        lines = [
+            "usage: kbonacci COMMAND [ARGUMENTS]",
+            "",
+            "Exact-arithmetic toolkit for the stride self-similarity identities",
+            "of k-step Fibonacci sequences.",
+            "",
+            "commands:",
+        ]
+        for command, (_, text, _, _) in _COMMANDS.items():
+            lines += [f"  {_synopsis(command)}", f"      {text}"]
+        lines += [
+            "",
+            "Flags take '--flag value' or '--flag=value', spelled out in full.",
+            "'kbonacci COMMAND --help' describes a command's flags.",
+        ]
+        return "\n".join(lines)
+    _, text, _, flags = _COMMANDS[name]
+    rows = [(_flag_text(flag, kind), about) for flag, (kind, _, about) in flags.items()]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    lines = [f"usage: kbonacci {_synopsis(name)}", "", text, ""]
+    lines += [f"  {left.ljust(width)}  {right}" for left, right in rows]
+    return "\n".join(lines)
+
+
+def _value(flag: str, kind: object, text: str) -> object:
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _UsageError(f"{flag}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        choices = ", ".join(kind)
+        raise _UsageError(f"{flag}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler of argv's command and its arguments, read from _COMMANDS.
+
+    Raises _UsageError on a bad command line, and SystemExit(0) once help
+    is printed.  A flag given twice keeps its last value.
+    """
+    commands = ", ".join(_COMMANDS)
+    if not argv:
+        raise _UsageError(f"a command is required (choose from {commands})")
+    name, *rest = argv
+    if name in _HELP:
+        print(_help(None))
+        raise SystemExit(0)
+    if name not in _COMMANDS:
+        raise _UsageError(f"unknown command {name!r} (choose from {commands})")
+    handler, _, positional, flags = _COMMANDS[name]
+    given: dict[str, object] = {}
+    words = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            print(_help(name))
+            raise SystemExit(0)
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        flag, equals, text = token.partition("=")
+        if flag not in flags:
+            raise _UsageError(f"unknown flag {flag!r} for {name}")
+        kind = flags[flag][0]
+        if kind is bool:
+            if equals:
+                raise _UsageError(f"{flag} takes no value")
+            given[flag] = True
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None:
+                raise _UsageError(f"{flag} needs a value")
+        given[flag] = _value(flag, kind, text)
+    args = SimpleNamespace()
+    missing = []
+    if positional is not None:
+        attribute, choices = positional
+        if words:
+            setattr(args, attribute, _value(attribute, choices, words.pop(0)))
+        else:
+            missing.append(attribute)
+    if words:
+        raise _UsageError(f"unexpected argument {words[0]!r}")
+    for flag, (_, default, _) in flags.items():
+        if flag not in given and default is _REQUIRED:
+            missing.append(flag)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    return handler, args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command (argv defaults to sys.argv[1:]); returns the exit code,
+    0 when every check passed and 1 on a verification failure.  Help exits
+    through SystemExit(0); a usage error writes the one stderr line
+    "kbonacci: error: <message>" and exits through SystemExit(2)."""
     try:
-        return args.handler(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except (_UsageError, NegativeRow, NotMonic, OrderTooSmall) as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        sys.stderr.write(f"kbonacci: error: {exc}\n")
+        raise SystemExit(2) from None
 
 
 def run() -> None:

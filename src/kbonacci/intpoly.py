@@ -15,7 +15,6 @@ rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -33,14 +32,28 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(init=False, frozen=True)
 class IntPoly:
-    """Dense integer polynomial, coefficients in ascending exponent order."""
+    """Dense integer polynomial, coefficients in ascending exponent order.
 
-    coeffs: tuple[int, ...]
+    Equal and hashed by its coefficients; no method changes it after
+    construction.
+    """
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        self.coeffs = _trim(coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPoly({self.coeffs!r})"
 
     @classmethod
     def zero(cls) -> IntPoly:

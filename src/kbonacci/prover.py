@@ -39,7 +39,6 @@ and work out k as len(rows) - 1, so each certificate builds it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ColumnOutOfRange, EmptyCoefficients, NotAnEColumn, OrderTooSmall
@@ -130,7 +129,6 @@ def classify_column(k: int, c: int) -> str:
     return "E" if m <= j else "B"
 
 
-@dataclass(frozen=True)
 class ProductMatrix:
     """Long-hand multiplication of the negated base poly by the quotient.
 
@@ -142,10 +140,19 @@ class ProductMatrix:
     cells when they are asked for.
     """
 
-    k: int
-    quotient: IntPoly
-    column_cases: tuple[str, ...]
-    column_sums: tuple[int, ...]
+    __slots__ = ("k", "quotient", "column_cases", "column_sums")
+
+    def __init__(
+        self,
+        k: int,
+        quotient: IntPoly,
+        column_cases: tuple[str, ...],
+        column_sums: tuple[int, ...],
+    ):
+        self.k = k
+        self.quotient = quotient
+        self.column_cases = column_cases
+        self.column_sums = column_sums
 
     @property
     def width(self) -> int:
@@ -243,13 +250,15 @@ def _case_sum(rows: list[list[int]], label: str, c: int) -> int:
     return sum(_e_group_sums(rows, c))
 
 
-@dataclass(frozen=True)
 class CaseTally:
     """Pass/fail counts for one column family."""
 
-    passed: int
-    failed: int
-    failed_columns: tuple[int, ...] = ()
+    __slots__ = ("passed", "failed", "failed_columns")
+
+    def __init__(self, passed: int, failed: int, failed_columns: tuple[int, ...] = ()):
+        self.passed = passed
+        self.failed = failed
+        self.failed_columns = failed_columns
 
     @property
     def total(self) -> int:
@@ -278,7 +287,6 @@ def verify_case_sums(
     }
 
 
-@dataclass(frozen=True)
 class Certificate:
     """Everything checked while certifying one order k.
 
@@ -291,16 +299,42 @@ class Certificate:
     product or the division cannot slip through both.
     """
 
-    k: int
-    base_poly: IntPoly
-    stride_poly: IntPoly
-    quotient: IntPoly
-    remainder: IntPoly
-    division_matches: bool
-    product_matches: bool
-    matrix_verified: bool
-    case_tallies: dict[str, CaseTally]
-    matrix: ProductMatrix
+    __slots__ = (
+        "k",
+        "base_poly",
+        "stride_poly",
+        "quotient",
+        "remainder",
+        "division_matches",
+        "product_matches",
+        "matrix_verified",
+        "case_tallies",
+        "matrix",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        base_poly: IntPoly,
+        stride_poly: IntPoly,
+        quotient: IntPoly,
+        remainder: IntPoly,
+        division_matches: bool,
+        product_matches: bool,
+        matrix_verified: bool,
+        case_tallies: dict[str, CaseTally],
+        matrix: ProductMatrix,
+    ):
+        self.k = k
+        self.base_poly = base_poly
+        self.stride_poly = stride_poly
+        self.quotient = quotient
+        self.remainder = remainder
+        self.division_matches = division_matches
+        self.product_matches = product_matches
+        self.matrix_verified = matrix_verified
+        self.case_tallies = case_tallies
+        self.matrix = matrix
 
     @property
     def ok(self) -> bool:

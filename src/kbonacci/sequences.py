@@ -25,7 +25,6 @@ residuals at the bottom of the range prove the identity on all of it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
@@ -43,12 +42,14 @@ from .errors import (
 from .intpoly import IntPoly
 
 
-@dataclass(frozen=True)
 class SequenceWindow:
     """Contiguous slice of a sequence, indexable by absolute index."""
 
-    lo: int
-    values: tuple[int, ...]
+    __slots__ = ("lo", "values")
+
+    def __init__(self, lo: int, values: tuple[int, ...]):
+        self.lo = lo
+        self.values = values
 
     @property
     def hi(self) -> int:
@@ -63,17 +64,17 @@ class SequenceWindow:
         return len(self.values)
 
 
-@dataclass(frozen=True)
 class LinearRecurrence:
     """Monic integer recurrence with seed values at base..base+order-1."""
 
-    coefficients: tuple[int, ...]
-    initial: tuple[int, ...]
-    base: int = 0
+    __slots__ = ("coefficients", "initial", "base")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        object.__setattr__(self, "initial", tuple(self.initial))
+    def __init__(
+        self, coefficients: Iterable[int], initial: Iterable[int], base: int = 0
+    ):
+        self.coefficients = tuple(coefficients)
+        self.initial = tuple(initial)
+        self.base = base
         if not self.coefficients:
             raise EmptyCoefficients("a recurrence needs at least one coefficient")
         if len(self.coefficients) != len(self.initial):
@@ -171,22 +172,32 @@ def random_kbonacci(k: int, seed: int) -> LinearRecurrence:
     )
 
 
-@dataclass(frozen=True)
 class IdentityReport:
     """Outcome of checking a strided identity over an index range."""
 
-    coefficients: tuple[int, ...]
-    stride: int
-    lo: int
-    hi: int
-    failures: tuple[tuple[int, int, int], ...] = field(default=())
-    # each failure is (index, actual value, value predicted by the identity)
-    holds_for_all_n: bool = False
-    # ok, decided from order-many residuals, and the recurrence's trailing
-    # coefficient is +-1: then the residual vanishes in both directions, at
-    # every integer n.  An ok report without it is certified only for n >= lo
-    # (any other trailing coefficient) or only on [lo, hi] (a range shorter
-    # than the order).
+    __slots__ = ("coefficients", "stride", "lo", "hi", "failures", "holds_for_all_n")
+
+    def __init__(
+        self,
+        coefficients: tuple[int, ...],
+        stride: int,
+        lo: int,
+        hi: int,
+        failures: tuple[tuple[int, int, int], ...] = (),
+        holds_for_all_n: bool = False,
+    ):
+        self.coefficients = coefficients
+        self.stride = stride
+        self.lo = lo
+        self.hi = hi
+        # each failure is (index, actual value, value predicted by the identity)
+        self.failures = failures
+        # ok, decided from order-many residuals, and the recurrence's trailing
+        # coefficient is +-1: then the residual vanishes in both directions, at
+        # every integer n.  An ok report without it is certified only for n >= lo
+        # (any other trailing coefficient) or only on [lo, hi] (a range shorter
+        # than the order).
+        self.holds_for_all_n = holds_for_all_n
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface: formats, exit codes, golden files."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kbonacci
 from kbonacci import cli
@@ -328,6 +331,27 @@ class TestJsonStability:
         assert rerendered == out
 
 
+COMMANDS = ("triangle", "prove", "verify", "decimate", "sweep")
+FLAGS = {
+    "triangle": ("--rows", "--format"),
+    "prove": ("--k", "--show-matrix", "--format"),
+    "verify": ("--k", "--n-from", "--n-to", "--seed", "--format"),
+    "decimate": ("--charpoly", "--stride", "--format"),
+    "sweep": ("--k-min", "--k-max", "--format"),
+}
+
+
+def run_argv(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of main(argv), whether it returns or exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestUsage:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -338,3 +362,131 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["prove"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frob\nnicate"],
+            ["prove"],
+            ["prove", "--k", "5", "--show"],  # abbreviations are not accepted
+            ["prove", "--k", "5", "--format", "xml"],
+            ["prove", "--k", "x"],
+            ["prove", "--k", "5\n6"],  # echoed tokens must stay on one line
+            ["prove", "--k"],
+            ["prove", "--k", "5", "--frobnicate", "1"],
+            ["prove", "--k", "5", "stray"],
+            ["prove", "--k", "5", "--show-matrix=yes"],
+            ["triangle", "--rows", "3"],
+            ["triangle", "r", "--rows", "3"],
+            ["triangle", "p", "q", "--rows", "3"],
+            ["decimate", "--charpoly", "1,x", "--stride", "2"],
+            ["verify", "--k", "3", "--n-from", "5", "--n-to", "4"],
+        ],
+    )
+    def test_error_is_one_stderr_line(self, argv):
+        code, out, err = run_argv(argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("kbonacci: error: ")
+
+    def test_top_level_help_names_every_command_and_flag(self):
+        for argv in (["--help"], ["-h"]):
+            code, out, err = run_argv(argv)
+            assert (code, err) == (0, "")
+            for name in COMMANDS + tuple(f for flags in FLAGS.values() for f in flags):
+                assert name in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_names_every_flag(self, command):
+        # help wins wherever it stands among the command's arguments
+        for argv in ([command, "--help"], [command, "--format", "json", "-h"]):
+            code, out, err = run_argv(argv)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: kbonacci {command} ")
+            for flag in FLAGS[command]:
+                assert flag in out
+
+
+class TestParsing:
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (["prove", "--k", "5"], ["prove", "--k=5"]),
+            (
+                ["verify", "--k", "3", "--n-from", "-30", "--n-to", "120", "--format", "json"],
+                ["verify", "--k=3", "--n-from=-30", "--n-to=120", "--format=json"],
+            ),
+            (
+                ["decimate", "--charpoly", "1,-2,-1", "--stride", "2"],
+                ["decimate", "--charpoly=1,-2,-1", "--stride=2"],
+            ),
+            (["triangle", "q", "--rows", "4"], ["triangle", "--rows=4", "q"]),
+        ],
+    )
+    def test_equals_form_gives_same_bytes(self, spaced, joined):
+        code, out, err = run_argv(spaced)
+        assert (code, err) == (0, "")
+        assert run_argv(joined) == (0, out, "")
+
+    def test_repeated_flag_keeps_last_value(self):
+        assert run_argv(["prove", "--k", "3", "--k", "5"]) == run_argv(["prove", "--k", "5"])
+        assert run_argv(["prove", "--k", "5", "--format", "json", "--format", "tsv"]) == (
+            run_argv(["prove", "--k", "5", "--format", "tsv"])
+        )
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["kbonacci", "prove", "--k", "2"])
+        assert main() == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
+
+SMALL_INTS = st.integers(-4, 9).map(str)
+FLAG_VALUES = {
+    "--format": st.sampled_from(("tsv", "markdown", "json")),
+    "--charpoly": st.sampled_from(("1,-1,-1", "1,0", "1,-2,-1", "1", "2,1", "1,x", "")),
+}
+JUNK = st.one_of(
+    st.sampled_from(
+        COMMANDS + ("p", "q", "xml", "--help", "-h", "--", "-", "--show", "--k=", "-1", "1\n2")
+    ),
+    SMALL_INTS,
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A command with each flag nine times in ten, spaced or joined by '=',
+    in any order, each value well-formed nine times in ten; then at most
+    one junk token anywhere."""
+    command = draw(st.sampled_from(COMMANDS))
+    groups = [[draw(st.sampled_from(("p", "q", "r")))]] if command == "triangle" else []
+    for flag in FLAGS[command]:
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        if flag == "--show-matrix":
+            groups.append([flag])
+            continue
+        good = FLAG_VALUES.get(flag, SMALL_INTS)
+        value = draw(good if draw(st.integers(0, 9)) else JUNK)
+        groups.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    argv = [command] + [token for group in draw(st.permutations(groups)) for token in group]
+    for token in draw(st.lists(JUNK, max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    def test_any_argv_exits_cleanly(self, argv):
+        code, _, err = run_argv(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("kbonacci: error: ")
+        else:
+            assert err == ""

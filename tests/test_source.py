@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kbonacci
@@ -17,3 +20,26 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_request_imports_no_slow_modules():
+    # every CLI call is a fresh interpreter that pays for these imports; the
+    # baseline is what the interpreter had loaded before kbonacci, so a host
+    # whose site already imports one of them does not fail
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kbonacci.cli\n"
+        "kbonacci.cli.main(['prove', '--k', '2'])\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.splitlines()[-1].split())
+    assert "kbonacci.cli" in added
+    assert added & {"argparse", "gettext", "locale", "dataclasses", "inspect"} == set()
