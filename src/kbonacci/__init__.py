@@ -17,5 +17,6 @@ The package root exports nothing; every name lives in a submodule:
 * kbonacci.sequences: recurrences, windows and numeric identity checks;
 * kbonacci.decimation: the power-sum decimation oracle;
 * kbonacci.errors: the exception types;
+* kbonacci.jsontext: JSON text in the bytes json.dumps(indent=2) gives;
 * kbonacci.cli: the command-line front end (python -m kbonacci).
 """

@@ -5,7 +5,9 @@ takes --format {tsv|markdown|json} (default markdown).  Markdown mirrors
 the human-readable tables (triangles padded with zeros to a rectangle,
 matrix cells blank where structurally zero); tsv emits bare data rows;
 json emits stable, sorted-key documents with polynomials as ascending
-coefficient arrays.
+coefficient arrays.  Their text comes from jsontext.dumps, a small writer
+that gives the bytes of json.dumps(obj, indent=2, sort_keys=True), so a
+request does not import json.
 
 Exit codes: 0 when every requested check passed, 1 on a verification
 failure, 2 on usage errors.
@@ -21,24 +23,19 @@ the single stderr line `kbonacci: error: <message>` and exit code 2.
 
 from __future__ import annotations
 
-import json
 import sys
 from itertools import chain
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import NegativeRow, NotMonic, OrderTooSmall
 from .intpoly import IntPoly
+from .jsontext import dumps
 from .prover import Certificate, ProductMatrix, certify_divisibility, identity_coefficients
 from .sequences import check_identity, kbonacci, random_kbonacci
 from .triangles import coeff_rows, diff_rows
 
 FORMATS = ("tsv", "markdown", "json")
-
-
-def _dump_json(obj: object) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _write_rows(
@@ -57,15 +54,15 @@ def _write_rows(
         write("| " + " | ".join(row) + " |\n")
 
 
-def _write_json_rows(rows: Iterable[Iterable[int]], depth: int) -> None:
-    """Write the bytes _dump_json gives a list of rows of ints standing at
-    nesting depth `depth`, one row at a time.  The list and every row must
-    be nonempty."""
+def _write_json_rows(rows: Iterable[Iterable[str]], depth: int) -> None:
+    """Write the bytes jsontext.dumps gives a list of rows of ints standing at
+    nesting depth `depth`, one row at a time; each row comes as the text of
+    its cells.  The list and every row must be nonempty."""
     outer, row_pad, cell_pad = ("\n" + "  " * d for d in (depth, depth + 1, depth + 2))
     write = sys.stdout.write
     separator = "["
     for row in rows:
-        cells = ("," + cell_pad).join(map(str, row))
+        cells = ("," + cell_pad).join(row)
         write(separator + row_pad + "[" + cell_pad + cells + row_pad + "]")
         separator = ","
     write(outer + "]")
@@ -85,7 +82,7 @@ def _identity_text(coefficients: list[int], stride: int) -> str:
 def _cmd_triangle(args: SimpleNamespace) -> int:
     rows = coeff_rows(args.rows) if args.kind == "p" else diff_rows(args.rows)
     if args.format == "json":
-        _write_json_rows(rows, depth=0)
+        _write_json_rows((map(str, row) for row in rows), depth=0)
         sys.stdout.write("\n")
     elif args.format == "tsv":
         _write_rows("tsv", (map(str, row) for row in rows))
@@ -102,12 +99,35 @@ def _cmd_triangle(args: SimpleNamespace) -> int:
 # --- prove ------------------------------------------------------------------
 
 
-def _matrix_rows(matrix: ProductMatrix) -> Iterator[list[str]]:
-    """The labelled rows, then the SUM row, as cells; blank where zero.
-    Each row is made only when the caller asks for it."""
-    for r, label in enumerate(matrix.row_labels):
-        yield [label] + [str(v) if v else "" for v in matrix.row(r)]
-    yield ["SUM"] + [str(s) for s in matrix.column_sums]
+def _write_matrix(fmt: str, matrix: ProductMatrix) -> None:
+    """Write matrix in fmt: for json its rows of ints, standing at depth 2;
+    for tsv and markdown the case row, the labelled rows (blank where zero)
+    and the SUM row.
+
+    Row r is r leading zero cells, the quotient's cells and the trailing
+    zero cells (the negated quotient in row k), so the quotient is turned
+    into text once and its negation once, not row by row.
+    """
+    zero = "0" if fmt == "json" else ""
+    body, negated = (
+        [str(v) if v else zero for v in poly] for poly in (matrix.quotient, -matrix.quotient)
+    )
+    width = matrix.width
+    rows = (
+        [zero] * r + cells + [zero] * (width - r - len(cells))
+        for r, cells in enumerate([body] * matrix.k + [negated])
+    )
+    if fmt == "json":
+        _write_json_rows(rows, depth=2)
+        return
+    labelled = ([label, *cells] for label, cells in zip(matrix.row_labels, rows))
+    sums = ["SUM", *map(str, matrix.column_sums)]
+    cases = ["case", *matrix.column_cases]
+    if fmt == "tsv":
+        _write_rows("tsv", chain([cases], labelled, [sums]))
+    else:
+        columns = ["col"] + [f"X^{c}" for c in range(width)]
+        _write_rows("markdown", chain([columns], labelled, [sums]), cases)
 
 
 def _certificate_fields(cert: Certificate) -> list[tuple[str, str]]:
@@ -154,7 +174,7 @@ def _cmd_prove(args: SimpleNamespace) -> int:
             "verdict": "PASS" if cert.ok else "FAIL",
         }
         if matrix is None:
-            print(_dump_json(doc))
+            print(dumps(doc))
         else:
             doc["matrix"] = {
                 "k": matrix.k,
@@ -164,15 +184,14 @@ def _cmd_prove(args: SimpleNamespace) -> int:
                 "column_sums": list(matrix.column_sums),
             }
             # the rows, made one at a time, go where the empty list stands
-            head, _, tail = _dump_json(doc).partition('"rows": []')
+            head, _, tail = dumps(doc).partition('"rows": []')
             write(head + '"rows": ')
-            _write_json_rows(map(matrix.row, range(matrix.k + 1)), depth=2)
+            _write_matrix("json", matrix)
             write(tail + "\n")
     elif args.format == "tsv":
         _write_rows("tsv", _certificate_fields(cert))
         if matrix is not None:
-            case_row = ["case", *matrix.column_cases]
-            _write_rows("tsv", chain([case_row], _matrix_rows(matrix)))
+            _write_matrix("tsv", matrix)
     else:
         print(f"# Divisibility certificate, order {cert.k}")
         print()
@@ -180,12 +199,7 @@ def _cmd_prove(args: SimpleNamespace) -> int:
             print(f"- {key}: {value}")
         if matrix is not None:
             print()
-            columns = ["col"] + [f"X^{c}" for c in range(matrix.width)]
-            _write_rows(
-                "markdown",
-                chain([columns], _matrix_rows(matrix)),
-                ["case", *matrix.column_cases],
-            )
+            _write_matrix("markdown", matrix)
     return 0 if cert.ok else 1
 
 
@@ -219,7 +233,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
             },
             "verdict": verdict,
         }
-        print(_dump_json(doc))
+        print(dumps(doc))
     elif args.format == "tsv":
         rows.append(["total", str(report.checked), str(len(report.failures))])
         rows.append(["verdict", verdict, ""])
@@ -278,7 +292,7 @@ def _cmd_decimate(args: SimpleNamespace) -> int:
             "decimated_ascending": list(decimated),
             "recurrence": coefficients,
         }
-        print(_dump_json(doc))
+        print(dumps(doc))
     elif args.format == "tsv":
         recurrence = ",".join(map(str, coefficients))
         _write_rows("tsv", [["decimated", str(decimated)], ["recurrence", recurrence]])
@@ -323,7 +337,7 @@ def _cmd_sweep(args: SimpleNamespace) -> int:
         for row in results
     ]
     if args.format == "json":
-        print(_dump_json({"results": results, "verdict": verdict}))
+        print(dumps({"results": results, "verdict": verdict}))
     elif args.format == "tsv":
         _write_rows("tsv", rows + [["verdict", verdict, "", "", ""]])
     else:

@@ -33,10 +33,6 @@ class BadStride(ValueError):
     """Decimation or identity stride below 1."""
 
 
-class ColumnOutOfRange(ValueError):
-    """Product-matrix column index outside 0..k*k."""
-
-
 class EmptyCoefficients(ValueError):
     """A recurrence needs at least one coefficient."""
 
@@ -51,10 +47,6 @@ class BadModulus(ValueError):
 
 class NotMonic(ValueError):
     """Operation requires a monic polynomial (leading coefficient 1)."""
-
-
-class NotAnEColumn(ValueError):
-    """Case-E group sums asked of a product-matrix column outside family E."""
 
 
 class ZeroPolynomialDegree(ValueError):

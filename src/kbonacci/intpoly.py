@@ -15,8 +15,6 @@ rationals.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from .errors import (
     BadCompositionPower,
     NegativePower,

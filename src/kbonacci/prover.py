@@ -26,12 +26,14 @@ ways:
 
 The matrix columns fall into five families A-E, each with its own
 closed-form column sum (a triangle recursion step, a telescoping
-difference, a power-of-two identity, or a four-group cancellation);
-verify_case_sums recomputes every column's sum from the closed form of
-its family rather than by adding the column; it reads the family from
-the matrix's case row, so each column is classified once.  Every step
-costs O(k**2) time and memory: the matrix keeps no cells, and makes a
-row only when it is printed.
+difference, a power-of-two identity, or a four-group cancellation).
+Writing a column as c = j*k + m with 0 <= m < k, the families come in
+runs inside each block j, so both the case row and the closed-form sums
+are built per block, not per column: case_row labels the columns and
+case_sums recomputes every column's sum from its family's closed form
+rather than by adding the column.  Every step costs O(k**2) time and
+memory: the matrix keeps no cells, and makes a row only when it is
+printed.
 
 Functions that read triangle entries take the table rows = coeff_rows(k)
 and work out k as len(rows) - 1, so each certificate builds it once.
@@ -39,11 +41,12 @@ and work out k as len(rows) - 1, so each certificate builds it once.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import accumulate
+from operator import sub
 
-from .errors import ColumnOutOfRange, EmptyCoefficients, NotAnEColumn, OrderTooSmall
+from .errors import EmptyCoefficients, OrderTooSmall
 from .intpoly import IntPoly
-from .triangles import coeff_entry, coeff_row, coeff_rows, diff_entry
+from .triangles import coeff_row, coeff_rows, diff_entry
 
 CASE_LABELS = ("A", "B", "C", "D", "E")
 
@@ -109,24 +112,17 @@ def quotient_poly(rows: list[list[int]]) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def classify_column(k: int, c: int) -> str:
-    """Case label A-E for column c of the product matrix.
+def case_row(k: int) -> tuple[str, ...]:
+    """Case label A-E of every column of the product matrix, block by block.
 
-    Writing c = j*k + m with 0 <= m < k: A for the two end columns, D for
-    the last block (j = k-1), C for interior multiples of k, E for
-    1 <= m <= j, and B for the rest.  Total and mutually exclusive.
+    Writing c = j*k + m with 0 <= m < k: block 0 is A at column 0, then B;
+    block j (1 <= j <= k-2) is C at its multiple of k, E for 1 <= m <= j,
+    then B; the last block (j = k-1) is all D, and column k*k is A again.
+    Total and mutually exclusive.
     """
     _require_order(k)
-    if c < 0 or c > k * k:
-        raise ColumnOutOfRange(f"column {c} outside 0..{k * k}")
-    if c == 0 or c == k * k:
-        return "A"
-    j, m = divmod(c, k)
-    if j == k - 1:
-        return "D"
-    if m == 0:
-        return "C"
-    return "E" if m <= j else "B"
+    middle = "".join("C" + "E" * j + "B" * (k - 1 - j) for j in range(1, k - 1))
+    return tuple("A" + "B" * (k - 1) + middle + "D" * k + "A")
 
 
 class ProductMatrix:
@@ -184,70 +180,57 @@ def build_matrix(rows: list[list[int]]) -> ProductMatrix:
     k = len(rows) - 1
     quotient = quotient_poly(rows)
     width = k * k + 1
-    q = list(quotient.coeffs)
-    q += [0] * (width - len(q))
-    sums = []
-    window = 0  # q[c-k+1] + ... + q[c]
-    for c in range(width):
-        leaving = q[c - k] if c >= k else 0
-        window += q[c] - leaving
-        sums.append(window - leaving)
-    cases = tuple(classify_column(k, c) for c in range(width))
-    return ProductMatrix(k, quotient, cases, tuple(sums))
+    q = quotient.coeffs + (0,) * (width - len(quotient.coeffs))
+    leaving = (0,) * k + q[: width - k]  # q[c-k], which leaves the window at c
+    window = accumulate(map(sub, q, leaving))  # q[c-k+1] + ... + q[c]
+    sums = tuple(map(sub, window, leaving))
+    return ProductMatrix(k, quotient, case_row(k), sums)
 
 
-def case_e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int]:
-    """The four group sums whose cancellation settles E column c, read
-    from rows = coeff_rows(k).
+def _e_sums(rows: list[list[int]], j: int) -> list[int]:
+    """Closed-form sums of the E columns m = 1..j of block j, read from
+    rows = coeff_rows(k).
 
-    In order: the lone coefficient-triangle term descending from the
-    block's multiple-of-k column; the negated difference entry descending
-    from the previous block; the row-0 difference entries of this block,
-    telescoped; and the difference entries descending from the previous
-    block's row 0, telescoped (empty when m = j).  The four add to zero.
+    Each is the sum of four groups that cancel: the lone coefficient-
+    triangle term -C[k-1][k-1-j] descending from the block's multiple-of-k
+    column; the negated difference entry -D[k-m][k-j] descending from the
+    previous block; the row-0 difference entries of this block, telescoped
+    to C[k-1][k-j-1] - C[k-m-1][k-j-1]; and the difference entries
+    descending from the previous block's row 0, telescoped to C[k-m-1][k-j].
     """
     k = len(rows) - 1
-    if classify_column(k, c) != "E":
-        raise NotAnEColumn(f"column {c} of order {k} is not an E column")
-    return _e_group_sums(rows, c)
+    col = k - j
+    head = rows[k - 1][col - 1]
+    # m = 1..j-1, with upper = row k-m and below = row k-m-1
+    sums = [
+        -head - (upper[col] - below[col]) + (head - below[col - 1]) + below[col]
+        for upper, below in zip(rows[k - 1 : col : -1], rows[k - 2 : col - 1 : -1])
+    ]
+    # m = j: C[k-j-1][k-j] lies right of the diagonal, so the last group is
+    # empty and the difference entry is the diagonal entry C[k-j][k-j]
+    sums.append(-head - rows[col][col] + (head - rows[col - 1][col - 1]))
+    return sums
 
 
-def _e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int]:
+def case_sums(rows: list[list[int]]) -> list[int]:
+    """Every column sum of the product matrix as its case argument predicts
+    it, not by adding the column; entries are read from rows = coeff_rows(k),
+    one block of k columns at a time."""
     k = len(rows) - 1
-    j, m = divmod(c, k)
-    lead = -coeff_entry(rows, k - 1, k - 1 - j)
-    crossing = -diff_entry(rows, k - m, k - j)
-    block = coeff_entry(rows, k - 1, k - j - 1) - coeff_entry(rows, k - m - 1, k - j - 1)
-    tail = coeff_entry(rows, k - m - 1, k - j)
-    return (lead, crossing, block, tail)
-
-
-def expected_column_sum(rows: list[list[int]], c: int) -> int:
-    """Column sum predicted by the column's case argument, not by adding
-    the column; entries are read from rows = coeff_rows(k)."""
-    return _case_sum(rows, classify_column(len(rows) - 1, c), c)
-
-
-def _case_sum(rows: list[list[int]], label: str, c: int) -> int:
-    """expected_column_sum for column c, whose case label is given."""
-    k = len(rows) - 1
-    if label == "A":
-        # column 0 holds only the quotient's constant term; column k*k
-        # only the negated leading term
-        return coeff_entry(rows, k, k) if c == 0 else -1
-    j, m = divmod(c, k)
-    if label == "B":
-        # the head term -C[k-1][k-1-j] and the difference column below it,
-        # which telescopes to C[k-1][k-1-j], cancel exactly
-        return 0
-    if label == "C":
-        # one triangle recursion step: equals C[k][k-j]
-        return 2 * coeff_entry(rows, k - 1, k - j) - coeff_entry(rows, k - 1, k - j - 1)
-    if label == "D":
-        # geometric sums of powers of two: 1 + 2*(2**(k-1) - 1) in the
-        # block's first column, 1 + (2**(k-1-m) - 1) - 2**(k-1-m) after it
-        return 2**k - 1 if m == 0 else 0
-    return sum(_e_group_sums(rows, c))
+    last = rows[k - 1]
+    # A: column 0 holds only the quotient's constant term, C[k][k].  B: the
+    # head term -C[k-1][k-1-j] and the difference column below it, which
+    # telescopes to C[k-1][k-1-j], cancel exactly
+    sums = [rows[k][k]] + [0] * (k - 1)
+    for j in range(1, k - 1):
+        # C: one triangle recursion step, equal to C[k][k-j]
+        sums.append(2 * last[k - j] - last[k - j - 1])
+        sums += _e_sums(rows, j)
+        sums += [0] * (k - 1 - j)  # the block's B run
+    # D: geometric sums of powers of two, 1 + 2*(2**(k-1) - 1) in the
+    # block's first column and 1 + (2**(k-1-m) - 1) - 2**(k-1-m) after it.
+    # A: column k*k holds only the negated leading term
+    return sums + [2**k - 1] + [0] * (k - 1) + [-1]
 
 
 class CaseTally:
@@ -272,17 +255,20 @@ def verify_case_sums(
     rows = coeff_rows(k)) == actual column sum == matching coefficient of
     -composed, where composed is stride_charpoly(k)(X**k)."""
     k = len(rows) - 1
-    passed = {label: 0 for label in CASE_LABELS}
+    width = k * k + 1
+    target = [-c for c in composed.coeffs[:width]]
+    target += [0] * (width - len(target))
+    columns = zip(range(width), case_sums(rows), matrix.column_sums, target)
+    mismatched = [c for c, expected, actual, want in columns if not expected == actual == want]
     failed: dict[str, list[int]] = {label: [] for label in CASE_LABELS}
-    for c in range(k * k + 1):
-        label = matrix.column_cases[c]
-        expected = _case_sum(rows, label, c)
-        if expected == matrix.column_sums[c] == -composed.coeff(c):
-            passed[label] += 1
-        else:
-            failed[label].append(c)
+    for c in mismatched:
+        failed[matrix.column_cases[c]].append(c)
     return {
-        label: CaseTally(passed[label], len(failed[label]), tuple(failed[label]))
+        label: CaseTally(
+            matrix.column_cases.count(label) - len(failed[label]),
+            len(failed[label]),
+            tuple(failed[label]),
+        )
         for label in CASE_LABELS
     }
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from itertools import compress
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import (
     BadModulus,

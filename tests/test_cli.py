@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import kbonacci
 from kbonacci import cli
-from kbonacci.cli import main
+from kbonacci.cli import FORMATS, main
+from kbonacci.prover import build_matrix
 from kbonacci.sequences import IdentityReport
+from kbonacci.triangles import coeff_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -297,6 +299,13 @@ GOLDEN_REQUESTS = {
     "verify_k3_seed7": ["verify", "--k", "3", "--n-from", "-10", "--n-to", "40", "--seed", "7"],
     "decimate_stride2": ["decimate", "--charpoly", "1,-2,-1", "--stride", "2"],
     "sweep_k2_6": ["sweep", "--k-min", "2", "--k-max", "6"],
+    # order 12: cells that are negative or several digits long, and E
+    # columns whose last group is not empty
+    "prove_k12": ["prove", "--k", "12"],
+    "prove_k12_matrix": ["prove", "--k", "12", "--show-matrix"],
+    "verify_k25_seed7": [
+        "verify", "--k", "25", "--n-from", "-300", "--n-to", "3000", "--seed", "7",
+    ],
 }
 GOLDEN_SUFFIX = {"tsv": "tsv", "markdown": "md", "json": "json"}
 
@@ -329,6 +338,35 @@ class TestJsonStability:
         assert code == 0
         rerendered = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert rerendered == out
+
+
+def matrix_row_by_row(fmt: str, matrix) -> str:
+    """What `prove --show-matrix` writes for matrix, made from matrix.row(r)
+    one row at a time: the reference for the writer that shares the
+    quotient's text between rows."""
+    rows = [list(matrix.row(r)) for r in range(matrix.k + 1)]
+    if fmt == "json":
+        return json.dumps(rows, indent=2).replace("\n", "\n    ")
+    cells = [
+        [label] + [str(v) if v else "" for v in row]
+        for label, row in zip(matrix.row_labels, rows)
+    ]
+    cells.append(["SUM"] + [str(v) for v in matrix.column_sums])
+    case = ["case", *matrix.column_cases]
+    if fmt == "tsv":
+        return "".join("\t".join(row) + "\n" for row in [case] + cells)
+    columns = ["col"] + [f"X^{c}" for c in range(matrix.width)]
+    lines = [case, ["---"] * len(case), columns] + cells
+    return "".join("| " + " | ".join(row) + " |\n" for row in lines)
+
+
+class TestMatrixWriter:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_shared_text_matches_row_by_row(self, capsys, fmt):
+        for k in range(2, 31):
+            matrix = build_matrix(coeff_rows(k))
+            cli._write_matrix(fmt, matrix)
+            assert capsys.readouterr().out == matrix_row_by_row(fmt, matrix), k
 
 
 COMMANDS = ("triangle", "prove", "verify", "decimate", "sweep")

@@ -5,21 +5,15 @@ import re
 import pytest
 
 from kbonacci import prover, triangles
-from kbonacci.errors import (
-    ColumnOutOfRange,
-    EmptyCoefficients,
-    NotAnEColumn,
-    OrderTooSmall,
-)
+from kbonacci.errors import EmptyCoefficients, OrderTooSmall
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import (
     CASE_LABELS,
     base_charpoly,
     build_matrix,
-    case_e_group_sums,
+    case_row,
+    case_sums,
     certify_divisibility,
-    classify_column,
-    expected_column_sum,
     identity_charpoly,
     identity_coefficients,
     quotient_poly,
@@ -32,6 +26,72 @@ from kbonacci.triangles import coeff_entry, coeff_rows, diff_entry
 QUOTIENT_5 = IntPoly(
     (1, -1, 0, 0, 0, -7, 6, 1, 0, 0, 17, -12, -4, -1, 0, -15, 8, 4, 2, 1, 1)
 )
+
+
+class ColumnOutOfRange(ValueError):
+    """Product-matrix column index outside 0..k*k."""
+
+
+class NotAnEColumn(ValueError):
+    """Case-E group sums asked of a product-matrix column outside family E."""
+
+
+def classify_column(k: int, c: int) -> str:
+    """Case label A-E for column c of the product matrix, one column at a
+    time: the reference for prover.case_row.
+
+    Writing c = j*k + m with 0 <= m < k: A for the two end columns, D for
+    the last block (j = k-1), C for interior multiples of k, E for
+    1 <= m <= j, and B for the rest.  Total and mutually exclusive.
+    """
+    if c < 0 or c > k * k:
+        raise ColumnOutOfRange(f"column {c} outside 0..{k * k}")
+    if c == 0 or c == k * k:
+        return "A"
+    j, m = divmod(c, k)
+    if j == k - 1:
+        return "D"
+    if m == 0:
+        return "C"
+    return "E" if m <= j else "B"
+
+
+def case_e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int]:
+    """The four group sums whose cancellation settles E column c, read
+    from rows = coeff_rows(k) entry by entry.
+
+    In order: the lone coefficient-triangle term descending from the
+    block's multiple-of-k column; the negated difference entry descending
+    from the previous block; the row-0 difference entries of this block,
+    telescoped; and the difference entries descending from the previous
+    block's row 0, telescoped (empty when m = j).  The four add to zero.
+    """
+    k = len(rows) - 1
+    if classify_column(k, c) != "E":
+        raise NotAnEColumn(f"column {c} of order {k} is not an E column")
+    j, m = divmod(c, k)
+    lead = -coeff_entry(rows, k - 1, k - 1 - j)
+    crossing = -diff_entry(rows, k - m, k - j)
+    block = coeff_entry(rows, k - 1, k - j - 1) - coeff_entry(rows, k - m - 1, k - j - 1)
+    tail = coeff_entry(rows, k - m - 1, k - j)
+    return (lead, crossing, block, tail)
+
+
+def expected_column_sum(rows: list[list[int]], c: int) -> int:
+    """Column sum predicted by column c's case argument, one column at a
+    time: the reference for prover.case_sums."""
+    k = len(rows) - 1
+    label = classify_column(k, c)
+    if label == "A":
+        return coeff_entry(rows, k, k) if c == 0 else -1
+    j, m = divmod(c, k)
+    if label == "B":
+        return 0
+    if label == "C":
+        return 2 * coeff_entry(rows, k - 1, k - j) - coeff_entry(rows, k - 1, k - j - 1)
+    if label == "D":
+        return 2**k - 1 if m == 0 else 0
+    return sum(case_e_group_sums(rows, c))
 
 
 class TestPolynomials:
@@ -76,7 +136,7 @@ class TestPolynomials:
         def quotient(k):
             return quotient_poly(coeff_rows(k))
 
-        for fn in (base_charpoly, stride_charpoly, quotient, identity_coefficients):
+        for fn in (base_charpoly, stride_charpoly, quotient, identity_coefficients, case_row):
             with pytest.raises(OrderTooSmall):
                 fn(k)
 
@@ -129,6 +189,10 @@ class TestClassification:
             assert counts["B"] == k * (k - 1) // 2
             assert counts["E"] == (k - 2) * (k - 1) // 2
             assert sum(counts.values()) == k * k + 1
+
+    def test_block_case_row_matches_column_oracle(self):
+        for k in range(2, 81):
+            assert case_row(k) == tuple(classify_column(k, c) for c in range(k * k + 1)), k
 
 
 class TestMatrix:
@@ -273,6 +337,42 @@ class TestCaseSums:
             assert all(t.failed == 0 for t in tallies.values()), (k, tallies)
             assert sum(t.passed for t in tallies.values()) == k * k + 1
 
+    def test_block_sums_match_column_oracle(self):
+        for k in range(2, 61):
+            rows = coeff_rows(k)
+            assert case_sums(rows) == [expected_column_sum(rows, c) for c in range(k * k + 1)], k
+
+    @pytest.mark.parametrize("k", [5, 8, 12])
+    def test_perturbed_entry_fails_the_columns_that_read_it(self, k):
+        # the matrix and composed come from the true triangle, so only the
+        # closed forms see the perturbed entry: a failure shows that the case
+        # side reads the triangle and does not restate the column sums
+        rows = coeff_rows(k)
+        matrix = build_matrix(rows)
+        composed = stride_charpoly(k).compose_power(k)
+        width = k * k + 1
+        families = set()
+        for i in range(2, k):
+            for j in range(1, i):
+                perturbed = [list(row) for row in rows]
+                perturbed[i][j] += 1
+                moved = [
+                    c
+                    for c in range(width)
+                    if expected_column_sum(perturbed, c) != expected_column_sum(rows, c)
+                ]
+                tallies = verify_case_sums(perturbed, matrix, composed)
+                failed = sorted(c for t in tallies.values() for c in t.failed_columns)
+                assert failed == moved, (i, j)
+                for label, tally in tallies.items():
+                    assert all(classify_column(k, c) == label for c in tally.failed_columns)
+                    assert tally.passed + tally.failed == [
+                        classify_column(k, c) for c in range(width)
+                    ].count(label)
+                    if tally.failed:
+                        families.add(label)
+        assert families == {"C", "E"}
+
 
 class TestCertificate:
     def test_order_two(self):
@@ -301,16 +401,16 @@ class TestCertificate:
         assert calls == [k]
 
     @pytest.mark.parametrize("k", [2, 5, 12, 25])
-    def test_classifies_each_column_once(self, k, monkeypatch):
+    def test_builds_case_row_once(self, k, monkeypatch):
         calls = []
 
-        def counting_classify_column(order, c):
-            calls.append(c)
-            return classify_column(order, c)
+        def counting_case_row(order):
+            calls.append(order)
+            return case_row(order)
 
-        monkeypatch.setattr(prover, "classify_column", counting_classify_column)
+        monkeypatch.setattr(prover, "case_row", counting_case_row)
         assert certify_divisibility(k).ok
-        assert len(calls) == k * k + 1
+        assert calls == [k]
 
     def test_order_twenty_five(self):
         for k in (25, 40, 60):
