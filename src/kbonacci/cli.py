@@ -24,6 +24,7 @@ the single stderr line `kbonacci: error: <message>` and exit code 2.
 from __future__ import annotations
 
 import sys
+from _collections_abc import Callable, Iterable, Sequence
 from itertools import chain
 from types import SimpleNamespace
 
@@ -269,7 +270,7 @@ def _parse_charpoly(text: str) -> IntPoly:
     except ValueError as exc:
         raise _UsageError(f"--charpoly must be comma-separated integers: {exc}")
     poly = IntPoly.from_descending(descending)
-    if poly.is_zero() or not poly.is_monic or poly.degree < 1:
+    if not poly.is_monic or poly.degree < 1:
         raise _UsageError(
             "--charpoly must be monic of degree >= 1 "
             "(descending coefficients starting with 1)"

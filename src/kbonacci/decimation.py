@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import BadStride, NotMonic
+from .errors import BadStride, InexactNewtonStep, NotMonic
 from .intpoly import IntPoly
 
 
 def recurrence_coefficients(charpoly: IntPoly) -> list[int]:
     """[c_1..c_n] such that charpoly == X**n - sum c_i X**(n-i)."""
-    if charpoly.is_zero() or not charpoly.is_monic or charpoly.degree < 1:
+    if not charpoly.is_monic or charpoly.degree < 1:
         raise NotMonic("need a monic polynomial of degree >= 1")
     n = charpoly.degree
     return [-charpoly.coeff(n - i) for i in range(1, n + 1)]
@@ -56,7 +56,7 @@ def decimated_charpoly(charpoly: IntPoly, stride: int) -> IntPoly:
         head = q_sums[m - 1] - sum(map(mul, d, q_sums[m - 2 :: -1]))
         step, rem = divmod(head, m)
         if rem:
-            raise ArithmeticError(
+            raise InexactNewtonStep(
                 f"inexact Newton step m={m}: {head} is not divisible by {m}"
             )
         d.append(step)

@@ -13,8 +13,8 @@ class NegativeRow(ValueError):
     """Triangle row index below 0; the triangles are not extended upward."""
 
 
-class NonIntegralQuotient(ArithmeticError):
-    """A polynomial long-division step would need a fractional coefficient."""
+class InexactNewtonStep(ArithmeticError):
+    """A Newton's-identity step of stride decimation left a remainder."""
 
 
 class NonIntegralBackwardStep(ArithmeticError):

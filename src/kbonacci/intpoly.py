@@ -7,18 +7,20 @@ polynomial is the empty tuple.  Python ints are unbounded, so every
 operation is exact at any magnitude; there is no floating-point or
 fixed-width path anywhere.
 
-Division is classical long division and refuses to leave the integers: if
-a step would need a fractional coefficient (only possible for a non-monic
-divisor) it raises NonIntegralQuotient instead of falling back to
-rationals.
+Division is classical long division by a monic divisor, so every step is
+exact over the integers; any other nonzero divisor raises NotMonic.
 """
 
 from __future__ import annotations
 
+# collections.abc re-exports these; the private module comes with os, which
+# every request loads, so annotations resolve without the collections package
+from _collections_abc import Iterable, Iterator
+
 from .errors import (
     BadCompositionPower,
     NegativePower,
-    NonIntegralQuotient,
+    NotMonic,
     ZeroPolynomialDegree,
 )
 
@@ -147,39 +149,36 @@ class IntPoly:
         return result
 
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
-        """Quotient and remainder with deg(remainder) < deg(divisor).
+        """Quotient and remainder by a monic divisor, with
+        deg(remainder) < deg(divisor).
 
-        Every step must divide exactly over the integers; a non-monic
-        divisor whose leading coefficient does not divide the running
-        head raises NonIntegralQuotient.  Each step subtracts only the
-        divisor's nonzero terms, so a sparse divisor such as a trinomial
-        costs O(terms) per step, not O(degree).
+        A zero divisor raises ZeroDivisionError and any other non-monic one
+        NotMonic.  Each step's quotient coefficient is the running head, and
+        the step subtracts only the divisor's nonzero lower terms, so a
+        sparse divisor such as a trinomial costs O(terms) per step, not
+        O(degree).
         """
         if not isinstance(other, IntPoly):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if not other.is_monic:
+            raise NotMonic(f"divisor {other} is not monic")
         den = other.coeffs
         dd = len(den) - 1
-        lead = den[-1]
         num = list(self.coeffs)
         if len(num) - 1 < dd:
             return IntPoly(), self
-        terms = [(i, d) for i, d in enumerate(den) if d]
+        terms = [(i, d) for i, d in enumerate(den[:-1]) if d]
         quot = [0] * (len(num) - dd)
         for shift in range(len(num) - dd - 1, -1, -1):
             head = num[shift + dd]
             if head == 0:
                 continue
-            step, rem = divmod(head, lead)
-            if rem:
-                raise NonIntegralQuotient(
-                    f"{head} is not divisible by leading coefficient {lead}"
-                )
-            quot[shift] = step
+            quot[shift] = head
             for i, d in terms:
-                num[shift + i] -= step * d
-        return IntPoly(quot), IntPoly(num)
+                num[shift + i] -= head * d
+        return IntPoly(quot), IntPoly(num[:dd])
 
     def __floordiv__(self, other: IntPoly) -> IntPoly:
         return divmod(self, other)[0]

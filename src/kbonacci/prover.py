@@ -7,7 +7,7 @@ for a sequence exactly when the identity's characteristic polynomial is
 divisible by the characteristic polynomial of the recurrence generating
 it, so the whole proof reduces to one polynomial fact:
 
-    stride_charpoly(k)(X**k) == base_charpoly(k) * quotient_poly(k)
+    stride_charpoly(k)(X**k) == base_charpoly(k) * quotient_poly(coeff_rows(k))
 
 with the quotient written down explicitly, in integer coefficients, from
 triangle entries.  This module certifies that fact three independent
@@ -41,12 +41,13 @@ and work out k as len(rows) - 1, so each certificate builds it once.
 
 from __future__ import annotations
 
+from _collections_abc import Iterable
 from itertools import accumulate
 from operator import sub
 
 from .errors import EmptyCoefficients, OrderTooSmall
 from .intpoly import IntPoly
-from .triangles import coeff_row, coeff_rows, diff_entry
+from .triangles import coeff_row, coeff_rows
 
 CASE_LABELS = ("A", "B", "C", "D", "E")
 
@@ -96,19 +97,20 @@ def quotient_poly(rows: list[list[int]]) -> IntPoly:
 
     Degree k*(k-1).  Assembled directly from triangle entries: a leading
     X**(k*(k-1)) plus, for each block j in 0..k-2, a coefficient-triangle
-    term at X**(k*j) and difference-triangle terms just above it.  Its
-    integrality in Z[X] is the crux of the certificate.
+    term at X**(k*j) and difference-triangle terms just above it.  Block j
+    comes from one column slice, C[col..k-1][col] with col = k-1-j, and its
+    successive differences.  Its integrality in Z[X] is the crux of the
+    certificate.
     """
     k = len(rows) - 1
     _require_order(k)
-    n = k * (k - 1)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for j in range(k - 1):
-        col = k - 1 - j
-        coeffs[k * j] += -rows[k - 1][col]
-        for i in range(col, k):
-            coeffs[k * j + (k - i)] += diff_entry(rows, i, col)
+    coeffs: list[int] = []
+    for col in range(k - 1, 0, -1):
+        column = [row[col] for row in rows[k - 1 : col - 1 : -1]]  # C[k-1..col][col]
+        # D[k-1][col] down to D[col][col]; C[col-1][col] lies right of the diagonal
+        diffs = map(sub, column, column[1:] + [0])
+        coeffs += [-column[0], *diffs] + [0] * (col - 1)
+    coeffs.append(1)
     return IntPoly(coeffs)
 
 

@@ -25,6 +25,7 @@ residuals at the bottom of the range prove the identity on all of it.
 from __future__ import annotations
 
 import random
+from _collections_abc import Iterable
 from itertools import compress
 from operator import mul
 
@@ -226,7 +227,7 @@ class IdentityReport:
 
 def check_identity(
     rec: LinearRecurrence,
-    coefficients: Sequence[int] | Iterable[int],
+    coefficients: Iterable[int],
     stride: int,
     lo: int,
     hi: int,

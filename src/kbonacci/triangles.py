@@ -17,8 +17,8 @@ D[i][j] = C[i][j] - C[i-1][j] (row 0 is all zeros).  Its entries assemble
 the explicit quotient polynomial used by the divisibility certificate in
 `prover`.
 
-Callers build the rows of C once with coeff_rows; coeff_entry and
-diff_entry read single entries of either triangle from that table.
+Callers build the rows of C once with coeff_rows and read whole rows or
+column slices of that table; D is the successive differences down a column.
 
 Both triangles also have closed forms that do not use the recursion
 (binomial expansions of shifted powers).  They are reference oracles and
@@ -59,21 +59,3 @@ def diff_rows(n: int) -> list[list[int]]:
 def diff_row(n: int) -> list[int]:
     """Row n of the difference triangle."""
     return diff_rows(n)[n]
-
-
-def coeff_entry(rows: list[list[int]], i: int, j: int) -> int:
-    """C[i][j] read from rows = coeff_rows(n), n >= i, with 0 outside
-    0 <= j <= i (the sums in `prover` rely on vanishing boundary terms)."""
-    if i < 0:
-        raise NegativeRow(f"row {i} is negative")
-    if j < 0 or j > i:
-        return 0
-    return rows[i][j]
-
-
-def diff_entry(rows: list[list[int]], i: int, j: int) -> int:
-    """D[i][j] = C[i][j] - C[i-1][j] read from rows = coeff_rows(n), n >= i,
-    with 0 outside 0 <= j <= i (row 0 is all zeros)."""
-    if i == 0:
-        return 0
-    return coeff_entry(rows, i, j) - coeff_entry(rows, i - 1, j)

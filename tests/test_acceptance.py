@@ -30,12 +30,8 @@ from kbonacci.sequences import (
     kbonacci,
     random_kbonacci,
 )
-from kbonacci.triangles import (
-    coeff_entry,
-    coeff_rows,
-    diff_entry,
-    diff_rows,
-)
+from kbonacci.triangles import coeff_rows, diff_rows
+from test_prover import coeff_entry, diff_entry
 
 DATA = Path(__file__).parent / "data"
 

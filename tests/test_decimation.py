@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from kbonacci import decimation
 from kbonacci.decimation import decimated_charpoly, recurrence_coefficients
-from kbonacci.errors import BadStride, NotMonic
+from kbonacci.errors import BadStride, InexactNewtonStep, NotMonic
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import base_charpoly, identity_charpoly, stride_charpoly
 from kbonacci.sequences import LinearRecurrence, check_identity
@@ -339,5 +339,6 @@ class TestPowerSums:
             return quotient, rem + 1
 
         monkeypatch.setattr(decimation, "divmod", inexact, raising=False)
-        with pytest.raises(ArithmeticError, match=r"inexact Newton step m=1"):
+        with pytest.raises(ArithmeticError, match=r"inexact Newton step m=1") as info:
             decimated_charpoly(base_charpoly(3), 2)
+        assert info.type is InexactNewtonStep

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from kbonacci.errors import (
     BadCompositionPower,
     NegativePower,
-    NonIntegralQuotient,
+    NotMonic,
     ZeroPolynomialDegree,
 )
 from kbonacci.intpoly import IntPoly
@@ -129,12 +129,26 @@ class TestDivmod:
             divmod(poly(1, 1), IntPoly.zero())
 
     def test_non_integral_step_raises(self):
-        with pytest.raises(NonIntegralQuotient):
-            divmod(poly(0, 1), poly(0, 2))  # X / 2X
+        # X / 2X would need the step 1/2; the non-monic divisor is refused
+        with pytest.raises(NotMonic, match="divisor 2X is not monic"):
+            divmod(poly(0, 1), poly(0, 2))
 
     def test_non_monic_exact_division(self):
-        # (2X^2 + 4X) / 2X = X + 2, every step integral
-        assert divmod(poly(0, 4, 2), poly(0, 2)) == (poly(2, 1), IntPoly.zero())
+        # (2X^2 + 4X) / 2X = X + 2 would divide exactly, but only monic
+        # divisors are accepted
+        with pytest.raises(NotMonic):
+            divmod(poly(0, 4, 2), poly(0, 2))
+
+    @pytest.mark.parametrize("lead", [2, -1])
+    def test_non_monic_divisor_raises_before_any_work(self, lead):
+        divisor = poly(-1, -1, lead)
+        for num in (poly(1, 0, -3, 0, 1), poly(1, 1), IntPoly.zero()):
+            with pytest.raises(NotMonic):
+                divmod(num, divisor)
+        with pytest.raises(NotMonic):
+            poly(1, 0, -3, 0, 1) // divisor
+        with pytest.raises(NotMonic):
+            poly(1, 0, -3, 0, 1) % divisor
 
 
 class TestComposePower:
@@ -216,15 +230,13 @@ class TestAlgebraicProperties:
 
 
 def dense_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Schoolbook long division subtracting every divisor coefficient,
-    zeros included, at every step."""
+    """Schoolbook long division by a monic divisor, subtracting every
+    divisor coefficient, zeros and the leading 1 included, at every step."""
     rest, den = list(num.coeffs), list(den.coeffs)
     dd = len(den) - 1
     quot = [0] * max(0, len(rest) - dd)
     for shift in range(len(rest) - dd - 1, -1, -1):
-        step, leftover = divmod(rest[shift + dd], den[-1])
-        if leftover:
-            raise NonIntegralQuotient("not integral")
+        step = rest[shift + dd]
         quot[shift] = step
         for i in range(dd + 1):
             rest[shift + i] -= step * den[i]
@@ -233,10 +245,10 @@ def dense_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
 
 @st.composite
 def sparse_divisors(draw) -> IntPoly:
-    """Degree 1-30, leading coefficient +-1 or +-2, at most three other
-    nonzero terms (a trinomial such as X^(k+1) - 2X^k + 1 among them)."""
+    """Monic, degree 1-30, at most three other nonzero terms (a trinomial
+    such as X^(k+1) - 2X^k + 1 among them)."""
     degree = draw(st.integers(min_value=1, max_value=30))
-    coeffs = [0] * degree + [draw(st.sampled_from([1, -1, 2, -2]))]
+    coeffs = [0] * degree + [1]
     for i in draw(st.lists(st.integers(0, degree - 1), max_size=3)):
         coeffs[i] = draw(small_ints.filter(bool))
     return IntPoly(coeffs)
@@ -250,16 +262,10 @@ class TestSparseDivisors:
         st.booleans(),
     )
     def test_matches_dense_long_division(self, den, a, b, multiple):
-        # a multiple of den plus a short tail reaches the integral path even
-        # for leading coefficient +-2; a bare numerator mostly raises there
+        # a multiple of den plus a short tail leaves a short remainder; a
+        # bare numerator mostly leaves a full-width one
         num = den * a + IntPoly(b.coeffs[: den.degree]) if multiple else a
-        try:
-            expected = dense_divmod(num, den)
-        except NonIntegralQuotient:
-            with pytest.raises(NonIntegralQuotient):
-                divmod(num, den)
-        else:
-            assert divmod(num, den) == expected
+        assert divmod(num, den) == dense_divmod(num, den)
 
     def test_trinomial_division(self):
         # (X - 1) * (X^3 - X^2 - X - 1) = X^4 - 2X^3 + 1

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from kbonacci import prover, triangles
-from kbonacci.errors import EmptyCoefficients, OrderTooSmall
+from kbonacci.errors import EmptyCoefficients, NegativeRow, OrderTooSmall
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import (
     CASE_LABELS,
@@ -20,12 +20,46 @@ from kbonacci.prover import (
     stride_charpoly,
     verify_case_sums,
 )
-from kbonacci.triangles import coeff_entry, coeff_rows, diff_entry
+from kbonacci.triangles import coeff_rows
 
 # Ascending coefficients of the order-5 quotient (degree 20, 13 nonzero terms).
 QUOTIENT_5 = IntPoly(
     (1, -1, 0, 0, 0, -7, 6, 1, 0, 0, 17, -12, -4, -1, 0, -15, 8, 4, 2, 1, 1)
 )
+
+
+def coeff_entry(rows: list[list[int]], i: int, j: int) -> int:
+    """C[i][j] read from rows = coeff_rows(n), n >= i, with 0 outside
+    0 <= j <= i (the per-column sums below rely on vanishing boundary
+    terms)."""
+    if i < 0:
+        raise NegativeRow(f"row {i} is negative")
+    if j < 0 or j > i:
+        return 0
+    return rows[i][j]
+
+
+def diff_entry(rows: list[list[int]], i: int, j: int) -> int:
+    """D[i][j] = C[i][j] - C[i-1][j] read from rows = coeff_rows(n), n >= i,
+    with 0 outside 0 <= j <= i (row 0 is all zeros)."""
+    if i == 0:
+        return 0
+    return coeff_entry(rows, i, j) - coeff_entry(rows, i - 1, j)
+
+
+def quotient_by_entry(rows: list[list[int]]) -> IntPoly:
+    """The explicit quotient assembled one triangle entry at a time: the
+    reference for prover.quotient_poly."""
+    k = len(rows) - 1
+    n = k * (k - 1)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    for j in range(k - 1):
+        col = k - 1 - j
+        coeffs[k * j] += -rows[k - 1][col]
+        for i in range(col, k):
+            coeffs[k * j + (k - i)] += diff_entry(rows, i, col)
+    return IntPoly(coeffs)
 
 
 class ColumnOutOfRange(ValueError):
@@ -130,6 +164,11 @@ class TestPolynomials:
 
     def test_quotient_poly_order_five(self):
         assert quotient_poly(coeff_rows(5)) == QUOTIENT_5
+
+    def test_block_quotient_matches_entry_oracle(self):
+        for k in range(2, 81):
+            rows = coeff_rows(k)
+            assert quotient_poly(rows) == quotient_by_entry(rows), k
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_order_too_small(self, k):

@@ -1,9 +1,12 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import kbonacci
@@ -20,6 +23,43 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def annotated_callables():
+    """(qualified name, function) for every function and method defined in
+    src/kbonacci, properties included; __main__ runs the CLI when imported
+    and defines nothing."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"kbonacci.{path.stem}")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                yield f"{module.__name__}.{name}", value
+            elif inspect.isclass(value):
+                for attr, member in vars(value).items():
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_every_annotation_resolves():
+    # annotations are strings under `from __future__ import annotations`;
+    # each name they use must be importable from its module
+    checked, unresolved = 0, []
+    for qualname, fn in annotated_callables():
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            unresolved.append(f"{qualname}: {exc}")
+        checked += 1
+    assert unresolved == []
+    assert checked > 50
 
 
 def modules_added_by_cli_request(*interpreter_flags: str) -> set[str]:
@@ -53,8 +93,8 @@ def test_cli_request_imports_no_slow_modules():
 
 
 def test_cli_request_without_site_imports_no_typing_or_json():
-    # python -S skips site, which on many hosts has already loaded typing
-    # and json; annotations are strings and JSON is written by hand, so the
-    # library needs neither
+    # python -S skips site, which on many hosts has already loaded typing,
+    # json and collections; annotations are strings whose names come from
+    # _collections_abc, and JSON is written by hand, so the library needs none
     added = modules_added_by_cli_request("-S")
-    assert added & {"typing", "json"} == set()
+    assert added & {"typing", "json", "collections"} == set()

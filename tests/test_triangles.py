@@ -4,14 +4,8 @@ import pytest
 
 from kbonacci.errors import NegativeRow
 from kbonacci.intpoly import IntPoly
-from kbonacci.triangles import (
-    coeff_entry,
-    coeff_row,
-    coeff_rows,
-    diff_entry,
-    diff_row,
-    diff_rows,
-)
+from kbonacci.triangles import coeff_row, coeff_rows, diff_row, diff_rows
+from test_prover import coeff_entry, diff_entry
 
 # First seven rows of both triangles, fixed reference values.
 COEFF_ROWS_0_TO_6 = [
