@@ -314,7 +314,8 @@ def _sweep_row(k: int) -> dict:
     cert = certify_divisibility(k)
     oracle_ok = decimated_charpoly(cert.base_poly, k) == cert.stride_poly
     coefficients = recurrence_coefficients(cert.stride_poly)
-    numeric = check_identity(kbonacci(k), coefficients, k, -20, 60)
+    # at least k indices, so a pass holds for every n (holds_for_all_n)
+    numeric = check_identity(kbonacci(k), coefficients, k, -20, max(60, k - 21))
     return {
         "k": k,
         "divisibility": cert.division_matches and cert.product_matches,

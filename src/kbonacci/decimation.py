@@ -9,6 +9,12 @@ q's coefficients.  Graeffe root-squaring is the case s = 2.  Everything is
 exact over Python ints: each backward step divides by m, and a nonzero
 remainder raises instead of leaving the integers.
 
+Newton's identities seed P_1..P_n in O(n^2) operations; the n*s power sums
+then step through `sequences.extend_linear`, the stepper the recurrence
+windows use.  For the k-step family each step costs O(1) big-int
+operations (P_{m+1} = 2 P_m - P_{m-k}), so decimating p_k at stride k is
+O(k^2) in all; a dense p costs O(n) per step, O(n^2 s) in all.
+
 This route never touches the coefficient triangles, which makes it an
 independent oracle for the stride identities, and it works for any monic
 integer recurrence (Pell, Jacobsthal, ...), not just the all-ones family.
@@ -20,6 +26,7 @@ from operator import mul
 
 from .errors import BadStride, InexactNewtonStep, NotMonic
 from .intpoly import IntPoly
+from .sequences import extend_linear
 
 
 def recurrence_coefficients(charpoly: IntPoly) -> list[int]:
@@ -44,12 +51,12 @@ def decimated_charpoly(charpoly: IntPoly, stride: int) -> IntPoly:
     c = recurrence_coefficients(charpoly)
     n = len(c)
     rev = c[::-1]
-    # P_{1-n}..P_0 read as 0, so one sum covers both of p's rules
+    # P_{1-n}..P_0 read as 0, so Newton's rule is p's rule plus m*c_m
     sums = [0] * n
-    for m in range(1, n * stride + 1):
-        seed = m * c[m - 1] if m <= n else 0
-        sums.append(sum(map(mul, rev, sums[-n:])) + seed)
-    q_sums = sums[n - 1 + stride :: stride]  # Q_1..Q_n
+    for m in range(1, n + 1):
+        sums.append(sum(map(mul, rev, sums[-n:])) + m * c[m - 1])
+    sums = extend_linear(sums[n:], c, n * stride)  # P_1..P_{n*s}
+    q_sums = sums[stride - 1 :: stride]  # Q_1..Q_n
     d: list[int] = []
     for m in range(1, n + 1):
         # d holds d_1..d_{m-1}, so the map stops after Q_{m-1}..Q_1

@@ -1,10 +1,14 @@
 """Monic integer linear recurrences, evaluable forward and backward.
 
 A LinearRecurrence is a(n) = sum_{i=1..k} coefficients[i-1] * a(n-i) with
-k seed values starting at a base index.  A window is built in flat lists.
-Forward, each step groups the lags that share a coefficient, so it does one
-multiplication per distinct nonzero coefficient (the k-step family: one
-sum of the last k values); a window far above the base jumps there by
+k seed values starting at a base index.  A window is built in flat lists
+by one stepper, extend_linear, which every other recurrence walk in the
+package (the power sums of `decimation`) shares.  After its first step it
+steps by the multiple (X - 1) * p of the characteristic polynomial p
+whenever that has fewer nonzero terms: the k-step family then costs two
+multiplications per step in either direction, a(n+1) = 2a(n) - a(n-k) and
+a(n) = 2a(n+k) - a(n+k+1), instead of a sum over k values; dense rules
+keep the k-term dot product.  A window far above the base jumps there by
 square-and-multiply modulo the characteristic polynomial, in a number of
 polynomial steps logarithmic in the distance.  Windows may extend below
 the base: the recurrence is solved backward from the k values above,
@@ -25,9 +29,8 @@ residuals at the bottom of the range prove the identity on all of it.
 from __future__ import annotations
 
 import random
-from _collections_abc import Iterable
-from itertools import compress
-from operator import mul
+from _collections_abc import Iterable, Sequence
+from operator import mul, sub
 
 from .errors import (
     BadModulus,
@@ -90,9 +93,8 @@ class LinearRecurrence:
     def window(self, lo: int, hi: int) -> SequenceWindow:
         """Values at indices lo..hi, extending in both directions as needed.
 
-        List-backed; a forward step does one multiplication per distinct
-        nonzero coefficient, a backward step solves from the k values above.
-        A window above the base starts from the k values at lo, read off
+        List-backed; both directions step through extend_linear.  A window
+        above the base starts from the k values at lo, read off
         X**(lo - base) mod the characteristic polynomial, instead of
         walking up from the base.
         """
@@ -100,39 +102,80 @@ class LinearRecurrence:
             raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
         k = self.order
         rev = self.coefficients[::-1]
-        groups = [(c, [d == c for d in rev]) for c in set(rev) if c]
-
-        def walk(values: list[int], stop: int) -> list[int]:
-            for _ in range(len(values), stop):
-                tail = values[-k:]
-                values.append(sum(c * sum(compress(tail, mask)) for c, mask in groups))
-            return values
-
         # X**(start - base) == sum_j r_j X**j mod the characteristic
         # polynomial, so a(start + i) = sum_j r_j a(base + i + j)
         start = max(lo, self.base)
         r = _x_power_mod(start - self.base, IntPoly((*(-c for c in rev), 1))).coeffs
-        first = walk(list(self.initial), k - 1 + len(r))
+        first = extend_linear(list(self.initial), self.coefficients, k - 1 + len(r))
         seeds = [sum(map(mul, r, first[i : i + k])) for i in range(k)]
-        ahead = walk(seeds, hi - start + 1)
+        ahead = extend_linear(seeds, self.coefficients, hi - start + 1)
         if lo < self.base:
             last = self.coefficients[-1]
             if last == 0:
                 raise NotSolvableBackward(
                     "backward extension requires a nonzero trailing coefficient"
                 )
-            behind = ahead[k - 1 :: -1]  # a(base+k-1) down to a(base), then below
-            solve = (1,) + tuple(-c for c in self.coefficients[:-1])
-            for n in range(self.base - 1, lo - 1, -1):
-                head = sum(map(mul, solve, behind[-k:]))
-                step, rem = divmod(head, last)
-                if rem:
-                    raise NonIntegralBackwardStep(
-                        f"index {n}: {head} is not divisible by {last}"
-                    )
-                behind.append(step)
+            # a(base+k-1) down to a(base), then below: coefficients[-1] * a(n)
+            # = a(n+k) - sum_{i<k} coefficients[i-1] * a(n+k-i)
+            solve = tuple(-c for c in self.coefficients[-2::-1]) + (1,)
+            behind = ahead[k - 1 :: -1]
+            top = self.base + k - 1
+            extend_linear(behind, solve, top - lo + 1, last, top)
             ahead = behind[::-1] + ahead[k:]
         return SequenceWindow(lo, tuple(ahead[: hi - lo + 1]))
+
+
+def extend_linear(
+    values: list[int],
+    weights: Sequence[int],
+    stop: int,
+    divisor: int = 1,
+    top: int = 0,
+) -> list[int]:
+    """Append to values, until it holds stop of them, the solutions of
+
+        divisor * v(t) = H(t) = sum_{i=1..k} weights[i-1] * v(t-i),
+
+    and return values.  It must hold at least k = len(weights) values.
+
+    The first new value takes the dense head.  Each later one may instead
+    use the rule's multiple by (X - 1): H(t) - H(t-1) needs only the lags
+    where consecutive weights differ, and the last step made H(t-1) =
+    divisor * v(t-1), so
+
+        H(t) = divisor * v(t-1) + sum_{i=1..k+1} (w_i - w_{i-1}) * v(t-i)
+
+    with w_0 = w_{k+1} = 0.  That rule is used when it has fewer nonzero
+    terms than the weights: the k-step family steps a(n+1) = 2a(n) - a(n-k)
+    forward and a(n) = 2a(n+k) - a(n+k+1) backward, O(1) big-int work per
+    step.  Both heads are the same integer, so a head that divisor does not
+    divide raises at the same step either way; values[t] is taken to be the
+    sequence at index top - t, which names that step.
+    """
+    k = len(weights)
+    rev = weights[::-1]
+    lags = list(map(sub, (*weights, 0), (0, *weights)))  # w_i - w_{i-1}
+    lags[0] += divisor
+    terms = [(-i, c) for i, c in enumerate(lags, start=1) if c]
+    sparse = len(terms) < k - weights.count(0)
+    first = len(values)
+    for t in range(first, stop):
+        if sparse and t > first:
+            head = 0
+            for i, c in terms:
+                head += c * values[i]
+        else:
+            head = sum(map(mul, rev, values[-k:]))
+        if divisor == 1:
+            values.append(head)
+            continue
+        step, rem = divmod(head, divisor)
+        if rem:
+            raise NonIntegralBackwardStep(
+                f"index {top - t}: {head} is not divisible by {divisor}"
+            )
+        values.append(step)
+    return values
 
 
 def _x_power_mod(e: int, modulus: IntPoly) -> IntPoly:

@@ -19,6 +19,8 @@ the explicit quotient polynomial used by the divisibility certificate in
 
 Callers build the rows of C once with coeff_rows and read whole rows or
 column slices of that table; D is the successive differences down a column.
+From row 2 on D obeys C's recursion too, so diff_rows builds it from its
+own two seed rows without a table of C.
 
 Both triangles also have closed forms that do not use the recursion
 (binomial expansions of shifted powers).  They are reference oracles and
@@ -30,16 +32,23 @@ from __future__ import annotations
 from .errors import NegativeRow
 
 
-def coeff_rows(n: int) -> list[list[int]]:
-    """Rows 0..n of the coefficient triangle; row i has i+1 entries."""
+def _grow(seeds: list[list[int]], n: int) -> list[list[int]]:
+    """Rows 0..n from the seed rows, each later row by
+    T[i][j] = 2*T[i-1][j] - T[i-1][j-1], T[i-1][i] read as 0, with column 0
+    fixed at its seed value."""
     if n < 0:
         raise NegativeRow(f"row {n} is negative")
-    rows = [[-1]]
-    for _ in range(n):
+    rows = seeds[: n + 1]
+    edge = seeds[0][0]
+    for _ in range(len(rows), n + 1):
         prev = rows[-1]
-        # C[i][j] = 2*C[i-1][j] - C[i-1][j-1], with C[i-1][i] read as 0
-        rows.append([-1] + [2 * a - b for a, b in zip(prev[1:] + [0], prev)])
+        rows.append([edge] + [2 * a - b for a, b in zip(prev[1:] + [0], prev)])
     return rows
+
+
+def coeff_rows(n: int) -> list[list[int]]:
+    """Rows 0..n of the coefficient triangle; row i has i+1 entries."""
+    return _grow([[-1]], n)
 
 
 def coeff_row(n: int) -> list[int]:
@@ -48,12 +57,10 @@ def coeff_row(n: int) -> list[int]:
 
 
 def diff_rows(n: int) -> list[list[int]]:
-    """Rows 0..n of the difference triangle."""
-    base = coeff_rows(n)
-    return [[0]] + [
-        [c - above for c, above in zip(cur, prev + [0])]
-        for prev, cur in zip(base, base[1:])
-    ]
+    """Rows 0..n of the difference triangle, by its own recursion: D obeys
+    C's rule from row 2 on, with column 0 fixed at 0 and D[0] = [0],
+    D[1] = [0, 1] as seeds, so no row of C is built."""
+    return _grow([[0], [0, 1]], n)
 
 
 def diff_row(n: int) -> list[int]:

@@ -281,6 +281,24 @@ class TestSweep:
             main(["sweep", "--k-min", "1", "--k-max", "3"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("k, hi", [(2, 60), (81, 60), (90, 69), (150, 129)])
+    def test_numeric_column_is_a_proof(self, capsys, monkeypatch, k, hi):
+        # the range -20..max(60, k - 21) holds at least k indices, so a pass
+        # holds for every integer n, and up to order 81 it is -20..60
+        reports = []
+        check = cli.check_identity
+
+        def recording(*args):
+            reports.append(check(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "check_identity", recording)
+        code, _ = run_cli(capsys, "sweep", "--k-min", str(k), "--k-max", str(k))
+        assert code == 0
+        [report] = reports
+        assert (report.lo, report.hi) == (-20, hi)
+        assert report.ok and report.holds_for_all_n
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli,

@@ -11,6 +11,7 @@ and Cayley-Hamilton tests keep the oracle itself honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
 import pytest
@@ -22,6 +23,8 @@ from kbonacci.errors import BadStride, InexactNewtonStep, NotMonic
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import base_charpoly, identity_charpoly, stride_charpoly
 from kbonacci.sequences import LinearRecurrence, check_identity
+
+from test_sequences import run_coefficients
 
 # --- reference oracle: Bareiss elimination over companion-matrix powers ------
 
@@ -267,6 +270,31 @@ class TestCayleyHamilton:
         assert poly_at_matrix(char_poly(m), m).is_zero()
 
 
+def dense_decimated_charpoly(charpoly: IntPoly, stride: int) -> IntPoly:
+    """decimated_charpoly as it was before extend_linear: every power sum,
+    Newton-seeded or not, is a k-term dot product."""
+    if stride < 1:
+        raise BadStride(f"stride must be >= 1, got {stride}")
+    c = recurrence_coefficients(charpoly)
+    n = len(c)
+    rev = c[::-1]
+    sums = [0] * n
+    for m in range(1, n * stride + 1):
+        seed = m * c[m - 1] if m <= n else 0
+        sums.append(sum(map(mul, rev, sums[-n:])) + seed)
+    q_sums = sums[n - 1 + stride :: stride]
+    d: list[int] = []
+    for m in range(1, n + 1):
+        head = q_sums[m - 1] - sum(map(mul, d, q_sums[m - 2 :: -1]))
+        step, rem = divmod(head, m)
+        if rem:
+            raise InexactNewtonStep(
+                f"inexact Newton step m={m}: {head} is not divisible by {m}"
+            )
+        d.append(step)
+    return IntPoly([-v for v in reversed(d)] + [1])
+
+
 # --- tests of the power-sum route --------------------------------------------
 
 
@@ -330,6 +358,17 @@ class TestPowerSums:
     @pytest.mark.parametrize("k", range(2, 41))
     def test_matches_triangle_route_to_order_forty(self, k):
         assert decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k)
+
+    @pytest.mark.parametrize("k", [*range(41, 61), 150])
+    def test_matches_triangle_route_above_forty(self, k):
+        # the power sums of p_k step by P_{m+1} = 2 P_m - P_{m-k}
+        assert decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k)
+
+    @given(run_coefficients(), st.integers(1, 6))
+    def test_matches_dense_power_sums(self, coefficients, stride):
+        # runs of equal coefficients take the two-lag steps of (X - 1) * p
+        poly = IntPoly([-c for c in reversed(coefficients)] + [1])
+        assert decimated_charpoly(poly, stride) == dense_decimated_charpoly(poly, stride)
 
     def test_inexact_division_raises(self, monkeypatch):
         # a Newton step that leaves a remainder must stop the conversion,

@@ -1,5 +1,8 @@
 """Unit tests for recurrence evaluation and identity checking."""
 
+from itertools import compress
+from operator import mul
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,11 +16,14 @@ from kbonacci.errors import (
     SeedCountMismatch,
     WindowTooNarrow,
 )
+from kbonacci.intpoly import IntPoly
 from kbonacci.prover import identity_coefficients
 from kbonacci.sequences import (
     IdentityReport,
     LinearRecurrence,
+    _x_power_mod,
     check_identity,
+    extend_linear,
     kbonacci,
     random_kbonacci,
 )
@@ -412,3 +418,166 @@ class TestFarWindows:
         n = 100_000
         f_n, f_next = fibonacci_pair(n)
         assert kbonacci(2).window(n - 1, n + 1).values == (f_next - f_n, f_n, f_next)
+
+
+# --- the stepper against the dense loops it replaced --------------------------
+
+
+def dense_extend(values, weights, stop, divisor=1, top=0):
+    """extend_linear by the dense head alone: one k-term dot product a step."""
+    k = len(weights)
+    rev = tuple(weights[::-1])
+    for t in range(len(values), stop):
+        head = sum(map(mul, rev, values[-k:]))
+        step, rem = divmod(head, divisor)
+        if rem:
+            raise NonIntegralBackwardStep(
+                f"index {top - t}: {head} is not divisible by {divisor}"
+            )
+        values.append(step)
+    return values
+
+
+def dense_window(rec, lo, hi):
+    """LinearRecurrence.window as it was before extend_linear: forward, one
+    multiplication per distinct nonzero coefficient of the last k values;
+    backward, a k-term dot product per index."""
+    if lo > hi:
+        raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
+    k = rec.order
+    rev = rec.coefficients[::-1]
+    groups = [(c, [d == c for d in rev]) for c in set(rev) if c]
+
+    def walk(values, stop):
+        for _ in range(len(values), stop):
+            tail = values[-k:]
+            values.append(sum(c * sum(compress(tail, mask)) for c, mask in groups))
+        return values
+
+    start = max(lo, rec.base)
+    r = _x_power_mod(start - rec.base, IntPoly((*(-c for c in rev), 1))).coeffs
+    first = walk(list(rec.initial), k - 1 + len(r))
+    seeds = [sum(map(mul, r, first[i : i + k])) for i in range(k)]
+    ahead = walk(seeds, hi - start + 1)
+    if lo < rec.base:
+        last = rec.coefficients[-1]
+        if last == 0:
+            raise NotSolvableBackward(
+                "backward extension requires a nonzero trailing coefficient"
+            )
+        behind = ahead[k - 1 :: -1]
+        solve = (1,) + tuple(-c for c in rec.coefficients[:-1])
+        for n in range(rec.base - 1, lo - 1, -1):
+            head = sum(map(mul, solve, behind[-k:]))
+            step, rem = divmod(head, last)
+            if rem:
+                raise NonIntegralBackwardStep(
+                    f"index {n}: {head} is not divisible by {last}"
+                )
+            behind.append(step)
+        ahead = behind[::-1] + ahead[k:]
+    return tuple(ahead[: hi - lo + 1])
+
+
+@st.composite
+def run_coefficients(draw, max_order=30):
+    """Orders 1..max_order made of 1-4 runs of equal coefficients; the last
+    run's value, the trailing coefficient, is +-1 about half the time."""
+    k = draw(st.integers(1, max_order))
+    cuts = draw(st.lists(st.integers(1, k - 1), max_size=3, unique=True)) if k > 1 else []
+    bounds = [0, *sorted(cuts), k]
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    values[-1] = draw(st.sampled_from([1, -1]) | st.integers(-3, 3))
+    return tuple(v for v, a, b in zip(values, bounds, bounds[1:]) for _ in range(b - a))
+
+
+@st.composite
+def run_recurrences(draw):
+    coefficients = draw(run_coefficients())
+    k = len(coefficients)
+    # a scale divisible by 2**8 and 3**8 keeps some non-unit backward steps exact
+    scale = draw(st.sampled_from([1, 6**8]))
+    seeds = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=k, max_size=k))
+    base = draw(st.integers(min_value=-20, max_value=20))
+    return LinearRecurrence(coefficients, [scale * v for v in seeds], base)
+
+
+class TestStepperAgainstDenseLoops:
+    @given(
+        run_coefficients(),
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=30, max_size=30),
+        st.integers(min_value=0, max_value=80),
+        st.sampled_from([1, -1, 2, -3, 6]),
+        st.integers(min_value=-50, max_value=50),
+    )
+    def test_extend_linear(self, weights, seeds, steps, divisor, top):
+        k = len(weights)
+        if divisor != 1:
+            seeds = [6**8 * v for v in seeds]
+        args = (weights, k + steps, divisor, top)
+        got = outcome(extend_linear, seeds[:k], *args)
+        assert got == outcome(dense_extend, seeds[:k], *args)
+
+    @given(run_recurrences(), st.integers(0, 40), st.integers(0, 80))
+    def test_forward_window(self, rec, offset, width):
+        lo = rec.base + offset
+        got = outcome(lambda: rec.window(lo, lo + width).values)
+        assert got == outcome(dense_window, rec, lo, lo + width)
+
+    @given(run_recurrences(), st.integers(1, 120), st.integers(0, 80))
+    def test_backward_window(self, rec, depth, width):
+        lo = rec.base - depth
+        got = outcome(lambda: rec.window(lo, lo + width).values)
+        assert got == outcome(dense_window, rec, lo, lo + width)
+
+    @given(run_recurrences(), st.integers(41, 3000), st.integers(0, 40))
+    def test_jumped_window(self, rec, offset, width):
+        lo = rec.base + offset
+        got = outcome(lambda: rec.window(lo, lo + width).values)
+        assert got == outcome(dense_window, rec, lo, lo + width)
+
+    @pytest.mark.parametrize(
+        "weights, lags",
+        [
+            # a(n+1) = 2a(n) - a(n-k) forward
+            ((1,) * 24, {-1, -25}),
+            # a(n) = 2a(n+k) - a(n+k+1) backward
+            ((-1,) * 23 + (1,), {-24, -25}),
+            # one run after a gap: (X - 1) * p has 3 terms, p has 5
+            ((0, 0, 3, 3, 3, 3, 3), {-1, -3, -8}),
+            # no run: the dense head at every step
+            ((1, 2, 3, 4), None),
+            # (X - 1) * p has 3 terms, as many as p: not fewer, so dense
+            ((1, 2, 2), None),
+        ],
+    )
+    def test_reads_per_step(self, weights, lags):
+        class Reads(list):
+            def __getitem__(self, i):
+                got.append(i)
+                return super().__getitem__(i)
+
+        got = []
+        k = len(weights)
+        values = extend_linear(Reads([0] * (k - 1) + [1]), weights, k + 50)
+        assert values == dense_extend([0] * (k - 1) + [1], weights, k + 50)
+        dense = slice(-k, None)
+        if lags is None:
+            assert got == [dense] * 50
+        else:
+            # the first step is dense, each later one reads only the lags of
+            # (X - 1) * p
+            assert got[0] == dense
+            assert len(got) == 1 + 49 * len(lags)
+            assert set(got[1:]) == lags
+
+    @pytest.mark.parametrize("divisor", [2, -3])
+    def test_first_inexact_step_names_its_index(self, divisor):
+        rec = LinearRecurrence((1, 1, divisor), (0, 0, 6**5), base=4)
+        with pytest.raises(NonIntegralBackwardStep) as got:
+            rec.window(-40, 10)
+        with pytest.raises(NonIntegralBackwardStep) as want:
+            dense_window(rec, -40, 10)
+        # the sixth step below the base, long after the first (dense) one
+        assert str(got.value).startswith("index -2: ")
+        assert str(got.value) == str(want.value)

@@ -74,11 +74,24 @@ class TestRows:
     def test_single_diff_row(self, n):
         assert diff_row(n) == DIFF_ROWS_0_TO_6[n]
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 300])
+    def test_diff_rows_are_differences_of_coeff_rows(self, n):
+        # diff_rows runs D's own recursion from two seed rows; D is defined
+        # as the differences down each column of C (row 0 all zeros)
+        c = coeff_rows(n)
+        differences = [[0]] + [
+            [x - above for x, above in zip(cur, prev + [0])]
+            for prev, cur in zip(c, c[1:])
+        ]
+        assert diff_rows(n) == differences
+
     def test_negative_row_rejected(self):
         with pytest.raises(NegativeRow):
             coeff_rows(-1)
         with pytest.raises(NegativeRow):
             coeff_row(-2)
+        with pytest.raises(NegativeRow):
+            diff_rows(-1)
 
 
 class TestEntries:
