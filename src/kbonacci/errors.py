@@ -53,9 +53,5 @@ class ZeroPolynomialDegree(ValueError):
     """Degree asked of the zero polynomial, which has none."""
 
 
-class NegativePower(ValueError):
-    """Polynomial raised to a negative power."""
-
-
 class BadCompositionPower(ValueError):
     """Substitution of X**k for X with k below 1."""

@@ -17,12 +17,7 @@ from __future__ import annotations
 # every request loads, so annotations resolve without the collections package
 from _collections_abc import Iterable, Iterator
 
-from .errors import (
-    BadCompositionPower,
-    NegativePower,
-    NotMonic,
-    ZeroPolynomialDegree,
-)
+from .errors import BadCompositionPower, NotMonic, ZeroPolynomialDegree
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -54,10 +49,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
-
-    @classmethod
-    def zero(cls) -> IntPoly:
-        return cls()
 
     @classmethod
     def one(cls) -> IntPoly:
@@ -134,20 +125,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> IntPoly:
-        if exponent < 0:
-            raise NegativePower("negative polynomial powers are not defined")
-        result = IntPoly.one()
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
-
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
         """Quotient and remainder by a monic divisor, with
         deg(remainder) < deg(divisor).
@@ -196,13 +173,6 @@ class IntPoly:
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
         return IntPoly(out)
-
-    def evaluate(self, x: int) -> int:
-        """Exact value at an integer point (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __str__(self) -> str:
         """Descending powers with explicit signs, e.g. 'X^4-3X^2+1'."""

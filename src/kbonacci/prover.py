@@ -7,7 +7,7 @@ for a sequence exactly when the identity's characteristic polynomial is
 divisible by the characteristic polynomial of the recurrence generating
 it, so the whole proof reduces to one polynomial fact:
 
-    stride_charpoly(k)(X**k) == base_charpoly(k) * quotient_poly(coeff_rows(k))
+    stride_charpoly(k)(X**k) == base_charpoly(k) * quotient_poly(list(coeff_rows(k)))
 
 with the quotient written down explicitly, in integer coefficients, from
 triangle entries.  This module certifies that fact three independent
@@ -35,8 +35,9 @@ rather than by adding the column.  Every step costs O(k**2) time and
 memory: the matrix keeps no cells, and makes a row only when it is
 printed.
 
-Functions that read triangle entries take the table rows = coeff_rows(k)
-and work out k as len(rows) - 1, so each certificate builds it once.
+Functions that read triangle entries take the table rows =
+list(coeff_rows(k)) and work out k as len(rows) - 1, so each certificate
+builds it once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from operator import sub
 
 from .errors import EmptyCoefficients, OrderTooSmall
 from .intpoly import IntPoly
-from .triangles import coeff_row, coeff_rows
+from .triangles import coeff_rows
 
 CASE_LABELS = ("A", "B", "C", "D", "E")
 
@@ -64,9 +65,12 @@ def base_charpoly(k: int) -> IntPoly:
 
 
 def identity_coefficients(k: int) -> list[int]:
-    """[C[k][1], ..., C[k][k]]: the stride-k identity coefficients."""
+    """[C[k][1], ..., C[k][k]]: the stride-k identity coefficients, read
+    from the last row; the rows above it are dropped as they are passed."""
     _require_order(k)
-    return coeff_row(k)[1:]
+    for row in coeff_rows(k):
+        pass
+    return row[1:]
 
 
 def identity_charpoly(coefficients: Iterable[int]) -> IntPoly:
@@ -93,7 +97,7 @@ def stride_charpoly(k: int) -> IntPoly:
 
 def quotient_poly(rows: list[list[int]]) -> IntPoly:
     """The explicit quotient stride_charpoly(k)(X**k) / base_charpoly(k),
-    read from rows = coeff_rows(k).
+    read from rows = list(coeff_rows(k)).
 
     Degree k*(k-1).  Assembled directly from triangle entries: a leading
     X**(k*(k-1)) plus, for each block j in 0..k-2, a coefficient-triangle
@@ -134,8 +138,8 @@ class ProductMatrix:
     X**r * quotient; row k holds those of -X**k * quotient.  Column sums
     therefore tabulate (-base) * quotient and must reproduce
     -stride_charpoly(X**k) column by column.  Only the quotient, the
-    column cases and the column sums are stored; row(r) makes a row's
-    cells when they are asked for.
+    column cases and the column sums are stored; the CLI's matrix writer
+    makes a row's cells when it prints the row.
     """
 
     __slots__ = ("k", "quotient", "column_cases", "column_sums")
@@ -160,20 +164,10 @@ class ProductMatrix:
     def row_labels(self) -> tuple[str, ...]:
         return tuple(f"X^{r}" for r in range(self.k)) + (f"-X^{self.k}",)
 
-    def row(self, r: int) -> tuple[int, ...]:
-        """Cells of row r: the quotient shifted right by r, negated in row k."""
-        poly = -self.quotient if r == self.k else self.quotient
-        cells = (0,) * r + poly.coeffs
-        return cells + (0,) * (self.width - len(cells))
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.row(r) for r in range(self.k + 1))
-
 
 def build_matrix(rows: list[list[int]]) -> ProductMatrix:
     """Product matrix of (-base_charpoly(k)) * quotient_poly(rows), read
-    from rows = coeff_rows(k).
+    from rows = list(coeff_rows(k)).
 
     Rows 0..k-1 each add one shifted copy of the quotient q and row k
     subtracts X**k * q, so column c sums to q[c] + ... + q[c-k+1] - q[c-k]:
@@ -191,7 +185,7 @@ def build_matrix(rows: list[list[int]]) -> ProductMatrix:
 
 def _e_sums(rows: list[list[int]], j: int) -> list[int]:
     """Closed-form sums of the E columns m = 1..j of block j, read from
-    rows = coeff_rows(k).
+    rows = list(coeff_rows(k)).
 
     Each is the sum of four groups that cancel: the lone coefficient-
     triangle term -C[k-1][k-1-j] descending from the block's multiple-of-k
@@ -216,8 +210,8 @@ def _e_sums(rows: list[list[int]], j: int) -> list[int]:
 
 def case_sums(rows: list[list[int]]) -> list[int]:
     """Every column sum of the product matrix as its case argument predicts
-    it, not by adding the column; entries are read from rows = coeff_rows(k),
-    one block of k columns at a time."""
+    it, not by adding the column; entries are read from
+    rows = list(coeff_rows(k)), one block of k columns at a time."""
     k = len(rows) - 1
     last = rows[k - 1]
     # A: column 0 holds only the quotient's constant term, C[k][k].  B: the
@@ -254,8 +248,8 @@ def verify_case_sums(
     rows: list[list[int]], matrix: ProductMatrix, composed: IntPoly
 ) -> dict[str, CaseTally]:
     """Check every column of matrix three ways: case closed form (read from
-    rows = coeff_rows(k)) == actual column sum == matching coefficient of
-    -composed, where composed is stride_charpoly(k)(X**k)."""
+    rows = list(coeff_rows(k))) == actual column sum == matching coefficient
+    of -composed, where composed is stride_charpoly(k)(X**k)."""
     k = len(rows) - 1
     width = k * k + 1
     target = [-c for c in composed.coeffs[:width]]
@@ -331,8 +325,8 @@ class Certificate:
 
 def certify_divisibility(k: int) -> Certificate:
     """Run the full certificate for one order; failures are recorded in
-    the result, not raised.  The triangle is built once, as coeff_rows(k),
-    and every later step reads from that table.
+    the result, not raised.  The triangle is built once, as
+    list(coeff_rows(k)), and every later step reads from that table.
 
     Long division goes through the trinomial (X-1) * base =
     X**(k+1) - 2*X**k + 1: dividing (X-1) * composed by it gives the same
@@ -341,7 +335,7 @@ def certify_divisibility(k: int) -> Certificate:
     touches three divisor terms instead of k+1.
     """
     base = base_charpoly(k)
-    rows = coeff_rows(k)
+    rows = list(coeff_rows(k))
     stride = identity_charpoly(rows[k][1:])
     composed = stride.compose_power(k)
     x_minus_one = IntPoly((-1, 1))

@@ -45,28 +45,6 @@ from .errors import (
 from .intpoly import IntPoly
 
 
-class SequenceWindow:
-    """Contiguous slice of a sequence, indexable by absolute index."""
-
-    __slots__ = ("lo", "values")
-
-    def __init__(self, lo: int, values: tuple[int, ...]):
-        self.lo = lo
-        self.values = values
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise IndexError(f"index {n} outside window [{self.lo}, {self.hi}]")
-        return self.values[n - self.lo]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 class LinearRecurrence:
     """Monic integer recurrence with seed values at base..base+order-1."""
 
@@ -90,13 +68,13 @@ class LinearRecurrence:
     def order(self) -> int:
         return len(self.coefficients)
 
-    def window(self, lo: int, hi: int) -> SequenceWindow:
-        """Values at indices lo..hi, extending in both directions as needed.
+    def window(self, lo: int, hi: int) -> tuple[int, ...]:
+        """The values at indices lo..hi as a tuple, item i at index lo + i,
+        extending in both directions as needed.
 
-        List-backed; both directions step through extend_linear.  A window
-        above the base starts from the k values at lo, read off
-        X**(lo - base) mod the characteristic polynomial, instead of
-        walking up from the base.
+        Both directions step through extend_linear.  A window above the
+        base starts from the k values at lo, read off X**(lo - base) mod
+        the characteristic polynomial, instead of walking up from the base.
         """
         if lo > hi:
             raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
@@ -122,7 +100,7 @@ class LinearRecurrence:
             top = self.base + k - 1
             extend_linear(behind, solve, top - lo + 1, last, top)
             ahead = behind[::-1] + ahead[k:]
-        return SequenceWindow(lo, tuple(ahead[: hi - lo + 1]))
+        return tuple(ahead[: hi - lo + 1])
 
 
 def extend_linear(
@@ -295,7 +273,7 @@ def check_identity(
         raise WindowTooNarrow(f"empty index range [{lo}, {hi}]")
     k = rec.order
     reach = stride * len(coefficients)
-    values = rec.window(lo - reach, min(hi, lo + k - 1)).values
+    values = rec.window(lo - reach, min(hi, lo + k - 1))
     rev = coefficients[::-1]
     residuals = tuple(
         values[i] - sum(map(mul, rev, values[i - reach : i : stride]))
@@ -307,10 +285,10 @@ def check_identity(
         return IdentityReport(coefficients, stride, lo, hi, holds_for_all_n=holds)
     if decided:
         extension = LinearRecurrence(rec.coefficients, residuals, base=lo)
-        residuals = extension.window(lo, hi).values
+        residuals = extension.window(lo, hi)
     failures = tuple(
         (n, a, a - r)
-        for n, a, r in zip(range(lo, hi + 1), rec.window(lo, hi).values, residuals)
+        for n, a, r in zip(range(lo, hi + 1), rec.window(lo, hi), residuals)
         if r
     )
     return IdentityReport(coefficients, stride, lo, hi, failures)

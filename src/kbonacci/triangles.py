@@ -17,10 +17,12 @@ D[i][j] = C[i][j] - C[i-1][j] (row 0 is all zeros).  Its entries assemble
 the explicit quotient polynomial used by the divisibility certificate in
 `prover`.
 
-Callers build the rows of C once with coeff_rows and read whole rows or
-column slices of that table; D is the successive differences down a column.
-From row 2 on D obeys C's recursion too, so diff_rows builds it from its
-own two seed rows without a table of C.
+Both triangles are made by one row generator that keeps only the previous
+row.  A certificate reads whole rows and column slices of C, so it makes
+the table once, as list(coeff_rows(k)); the CLI writes rows as they come,
+and the identity coefficients need only the last row.  From row 2 on D
+obeys C's recursion too, so diff_rows makes it from its own two seed rows
+without a row of C.
 
 Both triangles also have closed forms that do not use the recursion
 (binomial expansions of shifted powers).  They are reference oracles and
@@ -29,40 +31,34 @@ live in the tests, not here.
 
 from __future__ import annotations
 
+from _collections_abc import Iterator
+from itertools import accumulate, chain, islice, repeat
+
 from .errors import NegativeRow
 
 
-def _grow(seeds: list[list[int]], n: int) -> list[list[int]]:
-    """Rows 0..n from the seed rows, each later row by
+def _grow(seeds: list[list[int]], n: int) -> Iterator[list[int]]:
+    """Rows 0..n, one at a time, from the seed rows; each later row is
     T[i][j] = 2*T[i-1][j] - T[i-1][j-1], T[i-1][i] read as 0, with column 0
-    fixed at its seed value."""
+    fixed at its seed value.  Only the previous row is kept.  A negative n
+    raises NegativeRow here, before any row is made."""
     if n < 0:
         raise NegativeRow(f"row {n} is negative")
-    rows = seeds[: n + 1]
-    edge = seeds[0][0]
-    for _ in range(len(rows), n + 1):
-        prev = rows[-1]
-        rows.append([edge] + [2 * a - b for a, b in zip(prev[1:] + [0], prev)])
-    return rows
+
+    def step(prev: list[int], _: None) -> list[int]:
+        return [prev[0]] + [2 * a - b for a, b in zip(prev[1:] + [0], prev)]
+
+    later = accumulate(repeat(None), step, initial=seeds[-1])
+    return islice(chain(seeds[:-1], later), n + 1)
 
 
-def coeff_rows(n: int) -> list[list[int]]:
+def coeff_rows(n: int) -> Iterator[list[int]]:
     """Rows 0..n of the coefficient triangle; row i has i+1 entries."""
     return _grow([[-1]], n)
 
 
-def coeff_row(n: int) -> list[int]:
-    """Row n of the coefficient triangle."""
-    return coeff_rows(n)[n]
-
-
-def diff_rows(n: int) -> list[list[int]]:
+def diff_rows(n: int) -> Iterator[list[int]]:
     """Rows 0..n of the difference triangle, by its own recursion: D obeys
     C's rule from row 2 on, with column 0 fixed at 0 and D[0] = [0],
     D[1] = [0, 1] as seeds, so no row of C is built."""
     return _grow([[0], [0, 1]], n)
-
-
-def diff_row(n: int) -> list[int]:
-    """Row n of the difference triangle."""
-    return diff_rows(n)[n]

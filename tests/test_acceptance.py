@@ -31,7 +31,7 @@ from kbonacci.sequences import (
     random_kbonacci,
 )
 from kbonacci.triangles import coeff_rows, diff_rows
-from test_prover import coeff_entry, diff_entry
+from test_prover import coeff_entry, diff_entry, matrix_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,29 +119,29 @@ def test_criterion_02_order_five_quotient():
         expected = [0] * 21
         for exponent, value in QUOTIENT_5_TERMS.items():
             expected[exponent] = value
-        assert quotient_poly(coeff_rows(5)) == IntPoly(expected)
+        assert quotient_poly(list(coeff_rows(5))) == IntPoly(expected)
 
 
 def test_criterion_03_symbolic_certification():
     with criterion(3, "symbolic certification, orders 2..25", 30.0):
         for k in range(2, 26):
             base = base_charpoly(k)
-            quotient = quotient_poly(coeff_rows(k))
+            quotient = quotient_poly(list(coeff_rows(k)))
             composed = stride_charpoly(k).compose_power(k)
             assert (-base) * quotient == -composed, k
-            assert divmod(composed, base) == (quotient, IntPoly.zero()), k
+            assert divmod(composed, base) == (quotient, IntPoly()), k
 
 
 def test_criterion_04_matrix_verification():
     with criterion(4, "product-matrix verification, orders 2..12", 10.0):
         for k in range(2, 13):
-            matrix = build_matrix(coeff_rows(k))
+            matrix = build_matrix(list(coeff_rows(k)))
             target = -(stride_charpoly(k).compose_power(k))
             assert list(matrix.column_sums) == [
                 target.coeff(c) for c in range(k * k + 1)
             ], k
-        matrix5 = build_matrix(coeff_rows(5))
-        assert [list(row) for row in matrix5.rows] == MATRIX_5
+        matrix5 = build_matrix(list(coeff_rows(5)))
+        assert [list(row) for row in matrix_rows(matrix5)] == MATRIX_5
         assert list(matrix5.column_sums) == MATRIX_5_SUMS
         assert "".join(matrix5.column_cases) == CASES_5
 
@@ -149,7 +149,7 @@ def test_criterion_04_matrix_verification():
 def test_criterion_05_case_proof_checker():
     with criterion(5, "closed-form case checks, orders 2..12", 10.0):
         for k in range(2, 13):
-            rows = coeff_rows(k)
+            rows = list(coeff_rows(k))
             composed = stride_charpoly(k).compose_power(k)
             tallies = verify_case_sums(rows, build_matrix(rows), composed)
             assert all(tally.failed == 0 for tally in tallies.values()), (k, tallies)
@@ -196,19 +196,19 @@ def test_criterion_08_worked_examples():
 def test_criterion_09_closed_forms():
     with criterion(9, "triangle closed forms and telescoping", 10.0):
         # column 1 in closed form: C[n][1] = 2**n - 1 and D[n][1] = 2**(n-1)
-        rows64 = coeff_rows(64)
+        rows64 = list(coeff_rows(64))
         assert all(
             coeff_entry(rows64, n, 1) == 2**n - 1 and diff_entry(rows64, n, 1) == 2 ** (n - 1)
             for n in range(1, 65)
         )
         for k in range(1, 31):
-            rows = coeff_rows(k)
+            rows = list(coeff_rows(k))
             assert -coeff_entry(rows, k - 1, k - 1) == coeff_entry(rows, k, k), k
         for c in range(31):
             for r in range(c):
-                assert diff_entry(coeff_rows(r), r, c) == 0, (r, c)
-        crows = coeff_rows(30)
-        drows = diff_rows(30)
+                assert diff_entry(list(coeff_rows(r)), r, c) == 0, (r, c)
+        crows = list(coeff_rows(30))
+        drows = list(diff_rows(30))
 
         def centry(i, j):
             return crows[i][j] if j <= i else 0
@@ -228,7 +228,7 @@ def test_criterion_10_pell_generalization():
         decimated = decimated_charpoly(IntPoly((-1, -2, 1)), 2)
         coefficients = recurrence_coefficients(decimated)
         pell = LinearRecurrence((2, 1), (0, 1))
-        assert pell.window(0, 8).values == PELL_VALUES
+        assert pell.window(0, 8) == PELL_VALUES
         report = check_identity(pell, coefficients, 2, 4, 8)
         assert report.ok
         # spelled out against the fixed values at even indices

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from kbonacci.cli import FORMATS, main
 from kbonacci.prover import build_matrix
 from kbonacci.sequences import IdentityReport
 from kbonacci.triangles import coeff_rows
+from test_prover import matrix_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,10 +86,28 @@ class TestTriangle:
             padded = reference[i] + [0] * (7 - len(reference[i]))
             assert cells == [str(i)] + [str(v) for v in padded]
 
-    def test_negative_rows_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["triangle", "p", "--rows", "-1"])
-        assert excinfo.value.code == 2
+    def test_negative_rows_is_usage_error(self):
+        # the rows are made lazily, but the bad row is refused before any
+        # output: no table header or opening bracket precedes the error
+        for kind in ("p", "q"):
+            for fmt in FORMATS:
+                code, out, err = run_argv(["triangle", kind, "--rows", "-1", "--format", fmt])
+                assert (code, out) == (2, ""), (kind, fmt)
+                assert err == "kbonacci: error: row -1 is negative\n", (kind, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_600_rows_in_bounded_memory(self, kind, fmt):
+        # one row lives at a time: the whole table of 600 rows would be
+        # about 18 MB
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["triangle", kind, "--rows", "600", "--format", fmt]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestProve:
@@ -359,10 +379,10 @@ class TestJsonStability:
 
 
 def matrix_row_by_row(fmt: str, matrix) -> str:
-    """What `prove --show-matrix` writes for matrix, made from matrix.row(r)
-    one row at a time: the reference for the writer that shares the
+    """What `prove --show-matrix` writes for matrix, made from its rows of
+    cells one at a time: the reference for the writer that shares the
     quotient's text between rows."""
-    rows = [list(matrix.row(r)) for r in range(matrix.k + 1)]
+    rows = [list(row) for row in matrix_rows(matrix)]
     if fmt == "json":
         return json.dumps(rows, indent=2).replace("\n", "\n    ")
     cells = [
@@ -382,7 +402,7 @@ class TestMatrixWriter:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_shared_text_matches_row_by_row(self, capsys, fmt):
         for k in range(2, 31):
-            matrix = build_matrix(coeff_rows(k))
+            matrix = build_matrix(list(coeff_rows(k)))
             cli._write_matrix(fmt, matrix)
             assert capsys.readouterr().out == matrix_row_by_row(fmt, matrix), k
 
@@ -538,10 +558,12 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(argvs())
     def test_any_argv_exits_cleanly(self, argv):
-        code, _, err = run_argv(argv)
+        code, out, err = run_argv(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         if code == 2:
+            # every argument is checked before the first byte of output
+            assert out == ""
             assert len(err.splitlines()) == 1
             assert err.startswith("kbonacci: error: ")
         else:

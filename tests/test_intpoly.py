@@ -3,18 +3,22 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kbonacci.errors import (
-    BadCompositionPower,
-    NegativePower,
-    NotMonic,
-    ZeroPolynomialDegree,
-)
+from kbonacci.errors import BadCompositionPower, NotMonic, ZeroPolynomialDegree
 from kbonacci.intpoly import IntPoly
 
 
 def poly(*coeffs: int) -> IntPoly:
     """Ascending-order construction shorthand."""
     return IntPoly(coeffs)
+
+
+def horner(p: IntPoly, x: int) -> int:
+    """Exact value of p at an integer point: the oracle that the algebraic
+    properties below evaluate both sides with."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class TestBasics:
@@ -24,13 +28,13 @@ class TestBasics:
 
     def test_zero_has_no_degree(self):
         with pytest.raises(ZeroPolynomialDegree, match="the zero polynomial has no degree"):
-            IntPoly.zero().degree
+            IntPoly().degree
 
     def test_degree_and_monic(self):
         assert poly(-1, -1, 1).degree == 2
         assert poly(-1, -1, 1).is_monic
         assert not poly(1, 2).is_monic
-        assert not IntPoly.zero().is_monic
+        assert not IntPoly().is_monic
 
     def test_coeff_outside_range_is_zero(self):
         p = poly(3, 0, 5)
@@ -51,11 +55,11 @@ class TestAdd:
 
     def test_zero_identity(self):
         p = poly(2, 0, -7)
-        assert IntPoly.zero() + p == p
+        assert IntPoly() + p == p
 
     def test_additive_inverse(self):
         p = poly(-1, 1, 1)
-        assert p + (-p) == IntPoly.zero()
+        assert p + (-p) == IntPoly()
 
 
 class TestMul:
@@ -64,7 +68,7 @@ class TestMul:
         assert poly(-1, -1, 1) * poly(-1, 1, 1) == poly(1, 0, -3, 0, 1)
 
     def test_zero_annihilates(self):
-        assert poly(1, 2, 3) * IntPoly.zero() == IntPoly.zero()
+        assert poly(1, 2, 3) * IntPoly() == IntPoly()
 
     def test_shifted_power_assembly(self):
         # (2-X)^3 - (2-X)^2 - (2-X) - 1 = -X^3 + 5X^2 - 7X + 1
@@ -81,25 +85,11 @@ class TestNeg:
         assert -poly(1, -3, 1) == poly(-1, 3, -1)
 
     def test_negate_zero(self):
-        assert -IntPoly.zero() == IntPoly.zero()
+        assert -IntPoly() == IntPoly()
 
     def test_involution(self):
         p = poly(5, 0, -2, 9)
         assert -(-p) == p
-
-
-class TestPow:
-    def test_square_and_cube(self):
-        p = poly(-1, -1, 1)
-        assert p**2 == p * p
-        assert p**3 == p * p * p
-
-    def test_zeroth_power_is_one(self):
-        assert poly(5, 0, -2) ** 0 == IntPoly.one()
-
-    def test_negative_power(self):
-        with pytest.raises(NegativePower, match="negative polynomial powers are not defined"):
-            poly(1, 1) ** -1
 
 
 class TestDivmod:
@@ -111,7 +101,7 @@ class TestDivmod:
 
     def test_self_division(self):
         p = poly(-1, -1, 1)
-        assert divmod(p, p) == (IntPoly.one(), IntPoly.zero())
+        assert divmod(p, p) == (IntPoly.one(), IntPoly())
 
     def test_single_step(self):
         # X^2 / (X^2 - X - 1): quotient 1, remainder X + 1
@@ -126,7 +116,7 @@ class TestDivmod:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            divmod(poly(1, 1), IntPoly.zero())
+            divmod(poly(1, 1), IntPoly())
 
     def test_non_integral_step_raises(self):
         # X / 2X would need the step 1/2; the non-monic divisor is refused
@@ -142,7 +132,7 @@ class TestDivmod:
     @pytest.mark.parametrize("lead", [2, -1])
     def test_non_monic_divisor_raises_before_any_work(self, lead):
         divisor = poly(-1, -1, lead)
-        for num in (poly(1, 0, -3, 0, 1), poly(1, 1), IntPoly.zero()):
+        for num in (poly(1, 0, -3, 0, 1), poly(1, 1), IntPoly()):
             with pytest.raises(NotMonic):
                 divmod(num, divisor)
         with pytest.raises(NotMonic):
@@ -171,14 +161,16 @@ class TestComposePower:
 
 
 class TestEvaluate:
+    # known values of the horner oracle: a helper that returned 0 everywhere
+    # would pass every homomorphism property below
     def test_simple_point(self):
-        assert poly(-1, -1, 1).evaluate(2) == 1
+        assert horner(poly(-1, -1, 1), 2) == 1
 
     def test_zero_everywhere(self):
-        assert IntPoly.zero().evaluate(12345) == 0
+        assert horner(IntPoly(), 12345) == 0
 
     def test_quartic_point(self):
-        assert poly(1, 0, -3, 0, 1).evaluate(3) == 55
+        assert horner(poly(1, 0, -3, 0, 1), 3) == 55
 
 
 class TestRendering:
@@ -207,11 +199,11 @@ points = st.integers(min_value=-1000, max_value=1000)
 class TestAlgebraicProperties:
     @given(polys, polys, points)
     def test_multiplication_commutes_with_evaluation(self, a, b, x):
-        assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
+        assert horner(a * b, x) == horner(a, x) * horner(b, x)
 
     @given(polys, polys, points)
     def test_addition_commutes_with_evaluation(self, a, b, x):
-        assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+        assert horner(a + b, x) == horner(a, x) + horner(b, x)
 
     @given(polys, st.lists(small_ints, max_size=8).map(lambda cs: IntPoly(cs + [1])))
     def test_divrem_round_trip_for_monic_divisors(self, num, den):
@@ -221,7 +213,7 @@ class TestAlgebraicProperties:
 
     @given(polys, st.integers(min_value=1, max_value=6), st.integers(-20, 20))
     def test_compose_power_then_evaluate(self, p, k, x):
-        assert p.compose_power(k).evaluate(x) == p.evaluate(x**k)
+        assert horner(p.compose_power(k), x) == horner(p, x**k)
 
     @given(polys, polys)
     def test_results_stay_normalized(self, a, b):

@@ -1,8 +1,10 @@
 """Checks on the library source itself."""
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import os
 import subprocess
 import sys
@@ -10,6 +12,8 @@ import typing
 from pathlib import Path
 
 import kbonacci
+from kbonacci.cli import FORMATS, main
+from test_cli import GOLDEN_REQUESTS
 
 SRC = Path(kbonacci.__file__).parent
 
@@ -96,3 +100,49 @@ def test_cli_request_without_site_imports_no_typing_or_json():
     # _collections_abc, and JSON is written by hand, so the library needs none
     added = modules_added_by_cli_request("-S")
     assert added & {"typing", "json", "collections"} == set()
+
+
+# Defined in src/kbonacci but reached by no CLI request, each kept for the
+# reason given
+UNREACHED = {
+    "kbonacci.cli.run": "the console-script entry point, which calls main",
+    "kbonacci.intpoly.IntPoly.__add__": "the tests' Bareiss and companion-matrix oracles add",
+    "kbonacci.intpoly.IntPoly.__sub__": "the same oracles subtract",
+    "kbonacci.intpoly.IntPoly.__bool__": "truth value, so `if poly` means nonzero",
+    "kbonacci.intpoly.IntPoly.__hash__": "goes with __eq__, so polynomials can be dict keys",
+    "kbonacci.intpoly.IntPoly.__repr__": "what a failing assertion prints",
+    "kbonacci.jsontext._escape": "only strings that need escapes reach it; no output has one",
+    "kbonacci.prover.stride_charpoly": "the paper's s_k, for a uniform certificate over k",
+}
+
+
+def test_cli_reaches_every_callable():
+    # the library is what the CLI runs: every function and method is reached
+    # by some request, or named above with the reason it stays
+    requests = [argv + ["--format", fmt] for argv in GOLDEN_REQUESTS.values() for fmt in FORMATS]
+    requests += [["triangle", kind, "--rows", "6"] for kind in ("p", "q")]
+    requests += [
+        ["verify", "--k", "4", "--n-from", "50", "--n-to", "90"],  # jumps above the base
+        ["--help"],
+        ["prove", "--help"],
+        ["prove", "--k", "1"],
+    ]
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        sys.setprofile(profile)
+        try:
+            for argv in requests:
+                try:
+                    main(argv)
+                except SystemExit:
+                    pass
+        finally:
+            sys.setprofile(None)
+    unreached = {name for name, fn in annotated_callables() if fn.__code__ not in reached}
+    assert sorted(unreached) == sorted(UNREACHED)

@@ -4,7 +4,7 @@ import pytest
 
 from kbonacci.errors import NegativeRow
 from kbonacci.intpoly import IntPoly
-from kbonacci.triangles import coeff_row, coeff_rows, diff_row, diff_rows
+from kbonacci.triangles import coeff_rows, diff_rows
 from test_prover import coeff_entry, diff_entry
 
 # First seven rows of both triangles, fixed reference values.
@@ -49,74 +49,78 @@ def coeff_row_from_charpoly(k: int) -> list[int]:
 def diff_row_from_binomial(n: int) -> list[int]:
     """Row n >= 1 of the difference triangle as the coefficients of
     X*(2-X)**(n-1)."""
-    poly = IntPoly((0, 1)) * IntPoly((2, -1)) ** (n - 1)
+    poly = IntPoly((0, 1))
+    for _ in range(n - 1):
+        poly = poly * IntPoly((2, -1))
     return [poly.coeff(j) for j in range(n + 1)]
 
 
 def column_one_closed_form(n: int) -> bool:
     """True iff C[n][1] == 2**n - 1 and D[n][1] == 2**(n-1), for n >= 1."""
-    rows = coeff_rows(n)
+    rows = list(coeff_rows(n))
     return coeff_entry(rows, n, 1) == 2**n - 1 and diff_entry(rows, n, 1) == 2**(n - 1)
 
 
 class TestRows:
     def test_coeff_rows_prefix(self):
-        assert coeff_rows(6) == COEFF_ROWS_0_TO_6
+        assert list(coeff_rows(6)) == COEFF_ROWS_0_TO_6
 
     def test_diff_rows_prefix(self):
-        assert diff_rows(6) == DIFF_ROWS_0_TO_6
+        assert list(diff_rows(6)) == DIFF_ROWS_0_TO_6
 
     @pytest.mark.parametrize("n", [0, 4, 6])
     def test_single_coeff_row(self, n):
-        assert coeff_row(n) == COEFF_ROWS_0_TO_6[n]
+        # the generator stops after row n
+        assert list(coeff_rows(n)) == COEFF_ROWS_0_TO_6[: n + 1]
 
     @pytest.mark.parametrize("n", [0, 4, 6])
     def test_single_diff_row(self, n):
-        assert diff_row(n) == DIFF_ROWS_0_TO_6[n]
+        assert list(diff_rows(n)) == DIFF_ROWS_0_TO_6[: n + 1]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 300])
     def test_diff_rows_are_differences_of_coeff_rows(self, n):
         # diff_rows runs D's own recursion from two seed rows; D is defined
         # as the differences down each column of C (row 0 all zeros)
-        c = coeff_rows(n)
+        c = list(coeff_rows(n))
         differences = [[0]] + [
             [x - above for x, above in zip(cur, prev + [0])]
             for prev, cur in zip(c, c[1:])
         ]
-        assert diff_rows(n) == differences
+        assert list(diff_rows(n)) == differences
 
     def test_negative_row_rejected(self):
+        # raised by the call itself, before the first row is asked for
         with pytest.raises(NegativeRow):
             coeff_rows(-1)
         with pytest.raises(NegativeRow):
-            coeff_row(-2)
+            coeff_rows(-2)
         with pytest.raises(NegativeRow):
             diff_rows(-1)
 
 
 class TestEntries:
     def test_interior_entries(self):
-        rows = coeff_rows(5)
+        rows = list(coeff_rows(5))
         assert coeff_entry(rows, 3, 2) == -5
         assert diff_entry(rows, 5, 3) == 24
         assert diff_entry(rows, 4, 1) == 8
 
     def test_outside_triangle_is_zero(self):
-        rows = coeff_rows(5)
+        rows = list(coeff_rows(5))
         assert coeff_entry(rows, 5, 7) == 0
         assert coeff_entry(rows, 2, -1) == 0
         assert diff_entry(rows, 2, 3) == 0
 
     def test_negative_row_rejected(self):
         with pytest.raises(NegativeRow):
-            coeff_entry(coeff_rows(5), -1, 0)
+            coeff_entry(list(coeff_rows(5)), -1, 0)
         with pytest.raises(NegativeRow):
-            diff_entry(coeff_rows(5), -3, 1)
+            diff_entry(list(coeff_rows(5)), -3, 1)
 
     def test_diff_vanishes_above_diagonal(self):
         for c in range(31):
             for r in range(c):
-                assert diff_entry(coeff_rows(r), r, c) == 0
+                assert diff_entry(list(coeff_rows(r)), r, c) == 0
 
 
 class TestAlternateConstructions:
@@ -132,8 +136,9 @@ class TestAlternateConstructions:
         assert coeff_row_from_charpoly(k) == expected
 
     def test_coeff_row_from_charpoly_agrees_with_recursion(self):
+        rows = list(coeff_rows(30))
         for k in range(2, 31):
-            assert coeff_row_from_charpoly(k) == coeff_row(k)
+            assert coeff_row_from_charpoly(k) == rows[k]
 
     @pytest.mark.parametrize(
         "n, expected",
@@ -147,8 +152,9 @@ class TestAlternateConstructions:
         assert diff_row_from_binomial(n) == expected
 
     def test_diff_row_from_binomial_agrees_with_recursion(self):
+        rows = list(diff_rows(30))
         for n in range(1, 31):
-            assert diff_row_from_binomial(n) == diff_row(n)
+            assert diff_row_from_binomial(n) == rows[n]
 
 
 class TestClosedForms:
@@ -162,23 +168,23 @@ class TestClosedForms:
     def test_diagonal_negation(self):
         # -C[k-1][k-1] == C[k][k]
         for k in range(1, 31):
-            rows = coeff_rows(k)
+            rows = list(coeff_rows(k))
             assert -coeff_entry(rows, k - 1, k - 1) == coeff_entry(rows, k, k)
 
 
 class TestTelescoping:
     def test_full_telescoping(self):
         # sum_{r=c}^{t} D[r][c] == C[t][c]
-        crows = coeff_rows(30)
-        drows = diff_rows(30)
+        crows = list(coeff_rows(30))
+        drows = list(diff_rows(30))
         for c in range(1, 31):
             for t in range(c, 31):
                 assert sum(drows[r][c] for r in range(c, t + 1)) == crows[t][c]
 
     def test_partial_telescoping(self):
         # sum_{r=s}^{t} D[r][c] == C[t][c] - C[s-1][c]
-        crows = coeff_rows(30)
-        drows = diff_rows(30)
+        crows = list(coeff_rows(30))
+        drows = list(diff_rows(30))
 
         def centry(i, j):
             return crows[i][j] if j <= i else 0
