@@ -39,32 +39,41 @@ from .triangles import coeff_rows, diff_rows
 FORMATS = ("tsv", "markdown", "json")
 
 
+def _cell_separator(fmt: str, depth: int = 0) -> str:
+    """What the row writers put between two cells: a tab, a markdown bar, or
+    a comma and the cell indent of a JSON row at nesting depth `depth`."""
+    if fmt == "json":
+        return ",\n" + "  " * (depth + 2)
+    return "\t" if fmt == "tsv" else " | "
+
+
 def _write_rows(
     fmt: str, rows: Iterable[Iterable[str]], header: Sequence[str] = ()
 ) -> None:
     """Write rows of cells: tab-separated lines for tsv, or a markdown table
     under header.  Each row is written as soon as it is made."""
     write = sys.stdout.write
+    sep = _cell_separator(fmt)
     if fmt == "tsv":
         for row in rows:
-            write("\t".join(row) + "\n")
+            write(sep.join(row) + "\n")
         return
-    write("| " + " | ".join(header) + " |\n")
-    write("| " + " | ".join("---" for _ in header) + " |\n")
+    write("| " + sep.join(header) + " |\n")
+    write("| " + sep.join("---" for _ in header) + " |\n")
     for row in rows:
-        write("| " + " | ".join(row) + " |\n")
+        write("| " + sep.join(row) + " |\n")
 
 
 def _write_json_rows(rows: Iterable[Iterable[str]], depth: int) -> None:
     """Write the bytes jsontext.dumps gives a list of rows of ints standing at
     nesting depth `depth`, one row at a time; each row comes as the text of
     its cells.  The list and every row must be nonempty."""
-    outer, row_pad, cell_pad = ("\n" + "  " * d for d in (depth, depth + 1, depth + 2))
+    outer, row_pad = ("\n" + "  " * d for d in (depth, depth + 1))
+    sep = _cell_separator("json", depth)  # "," then the indent of a cell
     write = sys.stdout.write
     separator = "["
     for row in rows:
-        cells = ("," + cell_pad).join(row)
-        write(separator + row_pad + "[" + cell_pad + cells + row_pad + "]")
+        write(separator + row_pad + "[" + sep[1:] + sep.join(row) + row_pad + "]")
         separator = ","
     write(outer + "]")
 
@@ -105,23 +114,25 @@ def _write_matrix(fmt: str, matrix: ProductMatrix) -> None:
     for tsv and markdown the case row, the labelled rows (blank where zero)
     and the SUM row.
 
-    Row r is r leading zero cells, the quotient's cells and the trailing
-    zero cells (the negated quotient in row k), so the quotient is turned
-    into text once and its negation once, not row by row.
+    Row r is r zero cells, the quotient's cells (negated in row k) and zero
+    cells to the width.  The quotient is turned into text joined by the
+    writer's cell separator once, so each row reaches the writer whole.
     """
     zero = "0" if fmt == "json" else ""
+    sep = _cell_separator(fmt, depth=2)
+    width, n = matrix.width, len(matrix.quotient.coeffs)
     body, negated = (
-        [str(v) if v else zero for v in poly] for poly in (matrix.quotient, -matrix.quotient)
+        sep.join([str(v) if v else zero for v in poly])
+        for poly in (matrix.quotient, -matrix.quotient)
     )
-    width = matrix.width
     rows = (
-        [zero] * r + cells + [zero] * (width - r - len(cells))
-        for r, cells in enumerate([body] * matrix.k + [negated])
+        (zero + sep) * r + text + (sep + zero) * (width - r - n)
+        for r, text in enumerate([body] * matrix.k + [negated])
     )
     if fmt == "json":
-        _write_json_rows(rows, depth=2)
+        _write_json_rows(([row] for row in rows), depth=2)
         return
-    labelled = ([label, *cells] for label, cells in zip(matrix.row_labels, rows))
+    labelled = ([label, row] for label, row in zip(matrix.row_labels, rows))
     sums = ["SUM", *map(str, matrix.column_sums)]
     cases = ["case", *matrix.column_cases]
     if fmt == "tsv":

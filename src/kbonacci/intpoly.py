@@ -51,14 +51,6 @@ class IntPoly:
         return f"IntPoly({self.coeffs!r})"
 
     @classmethod
-    def one(cls) -> IntPoly:
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> IntPoly:
-        return cls((0, 1))
-
-    @classmethod
     def from_descending(cls, coeffs: Iterable[int]) -> IntPoly:
         """Build from highest-degree-first coefficients (CLI input order)."""
         return cls(reversed(list(coeffs)))
@@ -159,9 +151,6 @@ class IntPoly:
 
     def __floordiv__(self, other: IntPoly) -> IntPoly:
         return divmod(self, other)[0]
-
-    def __mod__(self, other: IntPoly) -> IntPoly:
-        return divmod(self, other)[1]
 
     def compose_power(self, k: int) -> IntPoly:
         """Substitute X**k for X: coefficient of X**i moves to X**(i*k)."""

@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from _collections_abc import Iterable
 from itertools import accumulate
-from operator import sub
+from operator import neg, sub
 
-from .errors import EmptyCoefficients, OrderTooSmall
+from .errors import EmptyCoefficients, OrderTooSmall, TargetWidthMismatch
 from .intpoly import IntPoly
 from .triangles import coeff_rows
 
@@ -245,23 +245,26 @@ class CaseTally:
 
 
 def verify_case_sums(
-    rows: list[list[int]], matrix: ProductMatrix, composed: IntPoly
+    rows: list[list[int]], matrix: ProductMatrix, target: tuple[int, ...]
 ) -> dict[str, CaseTally]:
     """Check every column of matrix three ways: case closed form (read from
-    rows = list(coeff_rows(k))) == actual column sum == matching coefficient
-    of -composed, where composed is stride_charpoly(k)(X**k)."""
-    k = len(rows) - 1
-    width = k * k + 1
-    target = [-c for c in composed.coeffs[:width]]
-    target += [0] * (width - len(target))
-    columns = zip(range(width), case_sums(rows), matrix.column_sums, target)
-    mismatched = [c for c, expected, actual, want in columns if not expected == actual == want]
+    rows = list(coeff_rows(k))) == actual column sum == target, the matrix
+    width's coefficients of -stride_charpoly(k)(X**k).  The three lists are
+    compared whole, and the columns walked only to name the ones that fail.
+    """
+    if len(target) != matrix.width:
+        raise TargetWidthMismatch(f"{len(target)} target coefficients, {matrix.width} columns")
+    expected = tuple(case_sums(rows))
     failed: dict[str, list[int]] = {label: [] for label in CASE_LABELS}
-    for c in mismatched:
-        failed[matrix.column_cases[c]].append(c)
+    if not expected == matrix.column_sums == target:
+        columns = zip(range(matrix.width), expected, matrix.column_sums, target)
+        for c, closed_form, actual, want in columns:
+            if not closed_form == actual == want:
+                failed[matrix.column_cases[c]].append(c)
+    cases = "".join(matrix.column_cases)
     return {
         label: CaseTally(
-            matrix.column_cases.count(label) - len(failed[label]),
+            cases.count(label) - len(failed[label]),
             len(failed[label]),
             tuple(failed[label]),
         )
@@ -343,7 +346,8 @@ def certify_divisibility(k: int) -> Certificate:
         composed * x_minus_one, base * x_minus_one
     )
     matrix = build_matrix(rows)
-    tallies = verify_case_sums(rows, matrix, composed)
+    target = tuple(map(neg, composed.coeffs))
+    tallies = verify_case_sums(rows, matrix, target)
     return Certificate(
         k=k,
         base_poly=base,
@@ -352,7 +356,7 @@ def certify_divisibility(k: int) -> Certificate:
         remainder=scaled_remainder // x_minus_one,
         division_matches=scaled_remainder.is_zero()
         and division_quotient == matrix.quotient,
-        product_matches=IntPoly(matrix.column_sums) == -composed,
+        product_matches=matrix.column_sums == target,
         matrix_verified=all(t.failed == 0 for t in tallies.values()),
         case_tallies=tallies,
         matrix=matrix,

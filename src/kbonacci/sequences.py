@@ -8,10 +8,9 @@ steps by the multiple (X - 1) * p of the characteristic polynomial p
 whenever that has fewer nonzero terms: the k-step family then costs two
 multiplications per step in either direction, a(n+1) = 2a(n) - a(n-k) and
 a(n) = 2a(n+k) - a(n+k+1), instead of a sum over k values; dense rules
-keep the k-term dot product.  A window far above the base jumps there by
-square-and-multiply modulo the characteristic polynomial, in a number of
-polynomial steps logarithmic in the distance.  Windows may extend below
-the base: the recurrence is solved backward from the k values above,
+keep the k-term dot product.  A window above the base walks up to it,
+keeping only the last values of the walk.  Windows may extend below the
+base: the recurrence is solved backward from the k values above,
 
     a(n) = (a(n+k) - sum_{i<k} coefficients[i-1] * a(n+k-i)) / coefficients[k-1],
 
@@ -23,7 +22,8 @@ check_identity verifies a strided self-similarity identity
 a(n) = sum_j coeffs[j] * a(n - stride*(j+1)) over an index range through
 its residual r(n) = a(n) - sum_j coeffs[j] * a(n - stride*(j+1)).  r is a
 fixed combination of shifts of a, so it obeys a's own recurrence: k zero
-residuals at the bottom of the range prove the identity on all of it.
+residuals at the bottom of the range prove the identity on all of it, and
+with a trailing coefficient of +-1, k at the seeds prove it at every n.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .errors import (
     SeedCountMismatch,
     WindowTooNarrow,
 )
-from .intpoly import IntPoly
 
 
 class LinearRecurrence:
@@ -72,21 +71,20 @@ class LinearRecurrence:
         """The values at indices lo..hi as a tuple, item i at index lo + i,
         extending in both directions as needed.
 
-        Both directions step through extend_linear.  A window above the
-        base starts from the k values at lo, read off X**(lo - base) mod
-        the characteristic polynomial, instead of walking up from the base.
+        Both directions step through extend_linear.  Up to a window above
+        the base, the walk keeps a bounded run of its last values.
         """
         if lo > hi:
             raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
         k = self.order
-        rev = self.coefficients[::-1]
-        # X**(start - base) == sum_j r_j X**j mod the characteristic
-        # polynomial, so a(start + i) = sum_j r_j a(base + i + j)
         start = max(lo, self.base)
-        r = _x_power_mod(start - self.base, IntPoly((*(-c for c in rev), 1))).coeffs
-        first = extend_linear(list(self.initial), self.coefficients, k - 1 + len(r))
-        seeds = [sum(map(mul, r, first[i : i + k])) for i in range(k)]
-        ahead = extend_linear(seeds, self.coefficients, hi - start + 1)
+        ahead = list(self.initial)
+        # up to start in runs of 16k steps, each keeping only the k values
+        # the next run starts from
+        for done in range(self.base, start, 16 * k):
+            step = min(16 * k, start - done)
+            ahead = extend_linear(ahead, self.coefficients, k + step)[step:]
+        ahead = extend_linear(ahead, self.coefficients, hi - start + 1)
         if lo < self.base:
             last = self.coefficients[-1]
             if last == 0:
@@ -154,18 +152,6 @@ def extend_linear(
             )
         values.append(step)
     return values
-
-
-def _x_power_mod(e: int, modulus: IntPoly) -> IntPoly:
-    """X**e mod a monic polynomial, by square-and-multiply (1 for e = 0)."""
-    result, square = IntPoly.one(), IntPoly.x()
-    while e:
-        if e & 1:
-            result = result * square % modulus
-        e >>= 1
-        if e:
-            square = square * square % modulus
-    return result
 
 
 def kbonacci(k: int) -> LinearRecurrence:
@@ -259,9 +245,12 @@ def check_identity(
     For n >= lo + k, r(n) - sum_i rec.coefficients[i-1] * r(n-i) combines
     instances of the recurrence at indices no lower than lo - stride *
     len(coefficients), so it is 0: r obeys the recurrence and its k lowest
-    values in the range decide it everywhere above.  Only the window up to
-    lo + k - 1 is built; when those k residuals are all 0 the identity holds
-    on [lo, hi] (and for every n >= lo).  Otherwise r is extended over the
+    values in the range decide it everywhere above.  With a trailing
+    coefficient of +-1, r runs backward in integers too, so the k residuals
+    at the seeds are checked first, at a cost that does not depend on where
+    [lo, hi] lies: all 0, and r is 0 at every n.  Otherwise only the window
+    up to lo + k - 1 is built; when those k residuals are all 0 the identity
+    holds on [lo, hi] (and for every n >= lo).  Else r is extended over the
     range by the recurrence and each index where it is nonzero is reported.
     """
     coefficients = tuple(coefficients)
@@ -272,16 +261,13 @@ def check_identity(
     if lo > hi:
         raise WindowTooNarrow(f"empty index range [{lo}, {hi}]")
     k = rec.order
-    reach = stride * len(coefficients)
-    values = rec.window(lo - reach, min(hi, lo + k - 1))
-    rev = coefficients[::-1]
-    residuals = tuple(
-        values[i] - sum(map(mul, rev, values[i - reach : i : stride]))
-        for i in range(reach, len(values))
-    )
-    decided = len(residuals) == k  # a shorter range is just its seeds
+    decided = hi - lo + 1 >= k  # a shorter range is just its seeds
+    unit = rec.coefficients[-1] in (1, -1)
+    if unit and not any(_residuals(rec, coefficients, stride, rec.base, rec.base + k - 1)):
+        return IdentityReport(coefficients, stride, lo, hi, holds_for_all_n=decided)
+    residuals = _residuals(rec, coefficients, stride, lo, min(hi, lo + k - 1))
     if not any(residuals):
-        holds = decided and rec.coefficients[-1] in (1, -1)
+        holds = decided and unit
         return IdentityReport(coefficients, stride, lo, hi, holds_for_all_n=holds)
     if decided:
         extension = LinearRecurrence(rec.coefficients, residuals, base=lo)
@@ -292,3 +278,16 @@ def check_identity(
         if r
     )
     return IdentityReport(coefficients, stride, lo, hi, failures)
+
+
+def _residuals(
+    rec: LinearRecurrence, coefficients: tuple[int, ...], stride: int, first: int, last: int
+) -> tuple[int, ...]:
+    """The residuals of the identity at indices first..last."""
+    reach = stride * len(coefficients)
+    values = rec.window(first - reach, last)
+    rev = coefficients[::-1]
+    return tuple(
+        values[i] - sum(map(mul, rev, values[i - reach : i : stride]))
+        for i in range(reach, len(values))
+    )

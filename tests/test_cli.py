@@ -401,10 +401,24 @@ def matrix_row_by_row(fmt: str, matrix) -> str:
 class TestMatrixWriter:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_shared_text_matches_row_by_row(self, capsys, fmt):
-        for k in range(2, 31):
+        # orders 2..40, those prove-ladder asks for
+        for k in range(2, 41):
             matrix = build_matrix(list(coeff_rows(k)))
             cli._write_matrix(fmt, matrix)
             assert capsys.readouterr().out == matrix_row_by_row(fmt, matrix), k
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_writes_whole_rows(self, monkeypatch, fmt):
+        # a writer that wrote cell by cell would make k**2 + 1 calls a row
+        k, calls = 40, []
+
+        class CountingStdout:
+            def write(self, text):
+                calls.append(len(text))
+
+        monkeypatch.setattr(sys, "stdout", CountingStdout())
+        cli._write_matrix(fmt, build_matrix(list(coeff_rows(k))))
+        assert 0 < len(calls) <= 8 * (k + 2)
 
 
 COMMANDS = ("triangle", "prove", "verify", "decimate", "sweep")

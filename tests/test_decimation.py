@@ -123,7 +123,7 @@ def char_poly(m: IntMatrix) -> IntPoly:
         [IntPoly((-v, 1) if i == j else (-v,)) for j, v in enumerate(row)]
         for i, row in enumerate(m.entries)
     ]
-    prev = IntPoly.one()
+    prev = IntPoly((1,))
     for r in range(n - 1):
         for i in range(r + 1, n):
             for j in range(r + 1, n):
@@ -183,7 +183,7 @@ class TestCompanion:
         with pytest.raises(NotMonic):
             companion_matrix(IntPoly())
         with pytest.raises(NotMonic):
-            companion_matrix(IntPoly.one())  # degree 0
+            companion_matrix(IntPoly((1,)))  # degree 0
 
     def test_recurrence_coefficients(self):
         assert recurrence_coefficients(IntPoly((1, -3, 1))) == [3, -1]
@@ -227,7 +227,7 @@ class TestCharPoly:
 
         def inexact(self, other):
             quotient, residue = exact(self, other)
-            return quotient, residue + IntPoly.one()
+            return quotient, residue + IntPoly((1,))
 
         monkeypatch.setattr(IntPoly, "__divmod__", inexact)
         with pytest.raises(ArithmeticError, match=r"r=0, i=1, j=1"):

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from kbonacci import prover
-from kbonacci.errors import EmptyCoefficients, NegativeRow, OrderTooSmall
+from kbonacci.errors import EmptyCoefficients, NegativeRow, OrderTooSmall, TargetWidthMismatch
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import (
     CASE_LABELS,
@@ -57,6 +57,22 @@ def matrix_rows(matrix: prover.ProductMatrix) -> tuple[tuple[int, ...], ...]:
         cells = (0,) * r + poly.coeffs
         rows.append(cells + (0,) * (matrix.width - len(cells)))
     return tuple(rows)
+
+
+def negated_target(k: int) -> tuple[int, ...]:
+    """The coefficients of -stride_charpoly(k)(X**k): what every column of
+    the product matrix must sum to."""
+    return tuple(-c for c in stride_charpoly(k).compose_power(k))
+
+
+def failed_columns_by_walk(
+    rows: list[list[int]], matrix: prover.ProductMatrix, target: tuple[int, ...]
+) -> list[int]:
+    """The columns whose closed form, column sum and target are not all
+    equal, compared one column at a time: the oracle of the whole-list
+    comparison in verify_case_sums."""
+    columns = zip(case_sums(rows), matrix.column_sums, target)
+    return [c for c, (e, a, w) in enumerate(columns) if not e == a == w]
 
 
 def quotient_by_entry(rows: list[list[int]]) -> IntPoly:
@@ -397,8 +413,7 @@ class TestCaseSums:
     def test_no_failures_up_to_order_twelve(self):
         for k in range(2, 13):
             rows = list(coeff_rows(k))
-            composed = stride_charpoly(k).compose_power(k)
-            tallies = verify_case_sums(rows, build_matrix(rows), composed)
+            tallies = verify_case_sums(rows, build_matrix(rows), negated_target(k))
             assert all(t.failed == 0 for t in tallies.values()), (k, tallies)
             assert sum(t.passed for t in tallies.values()) == k * k + 1
 
@@ -414,7 +429,7 @@ class TestCaseSums:
         # side reads the triangle and does not restate the column sums
         rows = list(coeff_rows(k))
         matrix = build_matrix(rows)
-        composed = stride_charpoly(k).compose_power(k)
+        target = negated_target(k)
         width = k * k + 1
         families = set()
         for i in range(2, k):
@@ -426,7 +441,7 @@ class TestCaseSums:
                     for c in range(width)
                     if expected_column_sum(perturbed, c) != expected_column_sum(rows, c)
                 ]
-                tallies = verify_case_sums(perturbed, matrix, composed)
+                tallies = verify_case_sums(perturbed, matrix, target)
                 failed = sorted(c for t in tallies.values() for c in t.failed_columns)
                 assert failed == moved, (i, j)
                 for label, tally in tallies.items():
@@ -437,6 +452,31 @@ class TestCaseSums:
                     if tally.failed:
                         families.add(label)
         assert families == {"C", "E"}
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    @pytest.mark.parametrize("side", ["column sum", "target"])
+    def test_one_changed_value_fails_its_column_alone(self, k, side):
+        # the whole-list comparison must still name exactly the column whose
+        # actual sum or target moved, in that column's family
+        rows = list(coeff_rows(k))
+        matrix = build_matrix(rows)
+        for c in range(matrix.width):
+            sums, target = list(matrix.column_sums), list(negated_target(k))
+            (sums if side == "column sum" else target)[c] += 1
+            moved = prover.ProductMatrix(k, matrix.quotient, matrix.column_cases, tuple(sums))
+            tallies = verify_case_sums(rows, moved, tuple(target))
+            failed = {label: t.failed_columns for label, t in tallies.items() if t.failed}
+            assert failed == {matrix.column_cases[c]: (c,)}, c
+            assert failed_columns_by_walk(rows, moved, tuple(target)) == [c]
+            assert sum(t.total for t in tallies.values()) == matrix.width
+
+    @pytest.mark.parametrize("target", [negated_target(5)[:-1], negated_target(5) + (0,)])
+    def test_target_of_another_width_raises(self, target):
+        # a short target would leave columns unnamed when the comparison
+        # fails, a long one would carry coefficients past the last column
+        rows = list(coeff_rows(5))
+        with pytest.raises(TargetWidthMismatch, match="26 columns"):
+            verify_case_sums(rows, build_matrix(rows), target)
 
 
 class TestCertificate:
@@ -524,6 +564,9 @@ class TestDenseOracle:
         monkeypatch.setattr(prover, "quotient_poly", perturbed)
         cert = certify_divisibility(k)
         assert cert.quotient == perturbed(list(coeff_rows(k)))
+        failed = sorted(c for t in cert.case_tallies.values() for c in t.failed_columns)
+        assert failed == failed_columns_by_walk(list(coeff_rows(k)), cert.matrix, negated_target(k))
+        assert failed
         assert not cert.division_matches
         assert not cert.product_matches
         assert not cert.matrix_verified
@@ -547,3 +590,8 @@ class TestDenseOracle:
         assert not cert.division_matches
         assert not cert.product_matches
         assert not cert.ok
+        # the offset moves the composed coefficients at X**(k*i), and so the
+        # target of exactly those columns
+        failed = sorted(c for t in cert.case_tallies.values() for c in t.failed_columns)
+        assert failed == [k * i for i, v in enumerate(offset) if v]
+        assert not cert.matrix_verified

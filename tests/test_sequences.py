@@ -1,5 +1,6 @@
 """Unit tests for recurrence evaluation and identity checking."""
 
+import tracemalloc
 from itertools import compress
 from operator import mul
 
@@ -16,12 +17,12 @@ from kbonacci.errors import (
     SeedCountMismatch,
     WindowTooNarrow,
 )
+from kbonacci.decimation import decimated_charpoly, recurrence_coefficients
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import identity_coefficients
 from kbonacci.sequences import (
     IdentityReport,
     LinearRecurrence,
-    _x_power_mod,
     check_identity,
     extend_linear,
     kbonacci,
@@ -355,7 +356,8 @@ class TestAgainstOracle:
         st.integers(min_value=0, max_value=30),
     )
     def test_window_far_above_base(self, rec, offset, width):
-        # the window jumps to lo; the oracle walks every index up from the base
+        # the window keeps only the last values of its walk up to lo; the
+        # oracle keeps every index from the base
         lo = rec.base + offset
         got = outcome(lambda: rec.window(lo, lo + width))
         assert got == outcome(oracle_window, rec, lo, lo + width)
@@ -386,6 +388,108 @@ class TestAgainstOracle:
         args = (rec, coefficients, stride, lo, lo + width)
         got = outcome(lambda: check_identity(*args).failures)
         assert got == outcome(oracle_failures, *args)
+
+
+def check_identity_from_lo(rec, coefficients, stride, lo, hi):
+    """check_identity decided from the k residuals at the bottom of [lo, hi]
+    alone, never at the seeds: the oracle of the check at the seeds, which
+    must give the same report field for field."""
+    coefficients = tuple(coefficients)
+    if not coefficients:
+        raise EmptyCoefficients("identity needs at least one coefficient")
+    if stride < 1:
+        raise BadStride(f"stride must be >= 1, got {stride}")
+    if lo > hi:
+        raise WindowTooNarrow(f"empty index range [{lo}, {hi}]")
+    k = rec.order
+    reach = stride * len(coefficients)
+    values = rec.window(lo - reach, min(hi, lo + k - 1))
+    rev = coefficients[::-1]
+    residuals = tuple(
+        values[i] - sum(map(mul, rev, values[i - reach : i : stride]))
+        for i in range(reach, len(values))
+    )
+    decided = len(residuals) == k
+    if not any(residuals):
+        holds = decided and rec.coefficients[-1] in (1, -1)
+        return IdentityReport(coefficients, stride, lo, hi, holds_for_all_n=holds)
+    if decided:
+        extension = LinearRecurrence(rec.coefficients, residuals, base=lo)
+        residuals = extension.window(lo, hi)
+    failures = tuple(
+        (n, a, a - r)
+        for n, a, r in zip(range(lo, hi + 1), rec.window(lo, hi), residuals)
+        if r
+    )
+    return IdentityReport(coefficients, stride, lo, hi, failures)
+
+
+def report_fields(report):
+    return tuple(getattr(report, name) for name in IdentityReport.__slots__)
+
+
+@st.composite
+def stride_identities(draw):
+    """A recurrence of order 2-12 with its stride-s identity, right or with
+    one coefficient off, and a range short, near, far above or far below
+    its base."""
+    k = draw(st.integers(min_value=2, max_value=12))
+    if draw(st.booleans()):
+        coefficients = (1,) * k  # the k-step family
+    else:
+        head = draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
+        coefficients = (*head, draw(st.sampled_from([1, -1, 1, -1, 2, 0])))
+    seeds = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+    rec = LinearRecurrence(coefficients, seeds, base=draw(st.integers(-20, 20)))
+    stride = draw(st.integers(min_value=1, max_value=k))
+    charpoly = IntPoly((*(-c for c in coefficients[::-1]), 1))
+    identity = recurrence_coefficients(decimated_charpoly(charpoly, stride))
+    if draw(st.booleans()):
+        identity[draw(st.integers(0, k - 1))] += draw(st.sampled_from([-2, -1, 1, 3]))
+    offset = draw(
+        st.one_of(
+            st.integers(min_value=-40, max_value=40),
+            st.integers(min_value=500, max_value=3000),
+            st.integers(min_value=-3000, max_value=-500),
+        )
+    )
+    width = draw(st.integers(min_value=0, max_value=40))
+    if draw(st.booleans()):
+        width %= k  # fewer than k indices
+    lo = rec.base + offset
+    return rec, identity, stride, lo, lo + width
+
+
+class TestCheckAtTheSeeds:
+    @given(stride_identities())
+    def test_same_report_as_check_from_lo(self, case):
+        got = outcome(lambda: report_fields(check_identity(*case)))
+        assert got == outcome(lambda: report_fields(check_identity_from_lo(*case)))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_kth_residual_at_the_seeds_decides(self, k):
+        # the last coefficient one too high leaves r(n) = -a(n - k*k), which
+        # is 0 at the first k - 1 indices above the seeds when they sit k*k
+        # above the k-step zeros, and 1 at the k-th
+        coefficients = identity_coefficients(k)
+        coefficients[-1] += 1
+        rec = LinearRecurrence((1,) * k, kbonacci(k).window(k * k, k * k + k - 1), base=k * k)
+        report = check_identity(rec, coefficients, k, -30, 30)
+        assert not report.ok
+        assert report_fields(report) == report_fields(
+            check_identity_from_lo(rec, coefficients, k, -30, 30)
+        )
+
+    def test_fibonacci_a_million_below_the_base_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            report = check_identity(kbonacci(2), [3, -1], 2, -1_000_000, -999_900)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert report.ok and report.holds_for_all_n
+        assert report.checked == 101
 
 
 class TestLargeOrders:
@@ -439,6 +543,18 @@ def dense_extend(values, weights, stop, divisor=1, top=0):
             )
         values.append(step)
     return values
+
+
+def _x_power_mod(e, modulus):
+    """X**e mod a monic polynomial, by square-and-multiply (1 for e = 0)."""
+    result, square = IntPoly((1,)), IntPoly((0, 1))
+    while e:
+        if e & 1:
+            result = divmod(result * square, modulus)[1]
+        e >>= 1
+        if e:
+            square = divmod(square * square, modulus)[1]
+    return result
 
 
 def dense_window(rec, lo, hi):

@@ -121,8 +121,9 @@ def test_cli_reaches_every_callable():
     # by some request, or named above with the reason it stays
     requests = [argv + ["--format", fmt] for argv in GOLDEN_REQUESTS.values() for fmt in FORMATS]
     requests += [["triangle", kind, "--rows", "6"] for kind in ("p", "q")]
+    requests += [["triangle", "p", "--rows", "6", "--format", fmt] for fmt in ("json", "tsv")]
     requests += [
-        ["verify", "--k", "4", "--n-from", "50", "--n-to", "90"],  # jumps above the base
+        ["verify", "--k", "4", "--n-from", "50", "--n-to", "51"],  # fewer than k indices
         ["--help"],
         ["prove", "--help"],
         ["prove", "--k", "1"],

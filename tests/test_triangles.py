@@ -37,7 +37,7 @@ def coeff_row_from_charpoly(k: int) -> list[int]:
     polynomial evaluated at 2 - Y: (2-Y)**k - sum_{i<k} (2-Y)**i has
     coefficient -C[k][i] at Y**i for 1 <= i <= k."""
     two_minus_y = IntPoly((2, -1))
-    powers = [IntPoly.one()]
+    powers = [IntPoly((1,))]
     for _ in range(k):
         powers.append(powers[-1] * two_minus_y)
     shifted = powers[k]
