@@ -17,16 +17,12 @@ class InexactNewtonStep(ArithmeticError):
     """A Newton's-identity step of stride decimation left a remainder."""
 
 
-class NonIntegralBackwardStep(ArithmeticError):
-    """Backward extension of a recurrence hit a non-integer value."""
-
-
 class WindowTooNarrow(ValueError):
     """Empty index range: lo > hi for a window or an identity check."""
 
 
 class NotSolvableBackward(ValueError):
-    """A recurrence with a zero trailing coefficient cannot be run backward."""
+    """A recurrence runs backward only with a trailing coefficient of +-1."""
 
 
 class BadStride(ValueError):

@@ -6,24 +6,22 @@ by one stepper, extend_linear, which every other recurrence walk in the
 package (the power sums of `decimation`) shares.  After its first step it
 steps by the multiple (X - 1) * p of the characteristic polynomial p
 whenever that has fewer nonzero terms: the k-step family then costs two
-multiplications per step in either direction, a(n+1) = 2a(n) - a(n-k) and
-a(n) = 2a(n+k) - a(n+k+1), instead of a sum over k values; dense rules
-keep the k-term dot product.  A window above the base walks up to it,
-keeping only the last values of the walk.  Windows may extend below the
-base: the recurrence is solved backward from the k values above,
-
-    a(n) = (a(n+k) - sum_{i<k} coefficients[i-1] * a(n+k-i)) / coefficients[k-1],
-
-which stays integral whenever the trailing coefficient is +-1 (always the
-case for the k-step Fibonacci family).  A non-exact backward step raises
-instead of switching to rationals.
+multiplications per step, a(n+1) = 2a(n) - a(n-k), instead of a sum over
+k values; dense rules keep the k-term dot product.  Windows may extend
+below the base when the trailing coefficient is +-1 (always the case for
+the k-step Fibonacci family): then b(t) = a(-t) obeys the time-reversed
+recurrence, an integer recurrence of the same order, and going backward
+is going forward on it.  Either way a window far from the base walks to
+it keeping only the last values of the walk.  Any other trailing
+coefficient raises on a window below the base.
 
 check_identity verifies a strided self-similarity identity
 a(n) = sum_j coeffs[j] * a(n - stride*(j+1)) over an index range through
 its residual r(n) = a(n) - sum_j coeffs[j] * a(n - stride*(j+1)).  r is a
-fixed combination of shifts of a, so it obeys a's own recurrence: k zero
-residuals at the bottom of the range prove the identity on all of it, and
-with a trailing coefficient of +-1, k at the seeds prove it at every n.
+fixed combination of shifts of a, so it obeys a's own recurrence: with a
+trailing coefficient of +-1, k zero residuals at the seeds prove the
+identity at every n; otherwise k at the bottom of the range prove it on
+all of the range.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .errors import (
     BadModulus,
     BadStride,
     EmptyCoefficients,
-    NonIntegralBackwardStep,
     NotSolvableBackward,
     OrderTooSmall,
     SeedCountMismatch,
@@ -69,69 +66,69 @@ class LinearRecurrence:
 
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
         """The values at indices lo..hi as a tuple, item i at index lo + i,
-        extending in both directions as needed.
-
-        Both directions step through extend_linear.  Up to a window above
-        the base, the walk keeps a bounded run of its last values.
+        extending in both directions as needed: below the base they are the
+        time-reversed recurrence's, read back reversed.
         """
         if lo > hi:
             raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
-        k = self.order
-        start = max(lo, self.base)
-        ahead = list(self.initial)
-        # up to start in runs of 16k steps, each keeping only the k values
-        # the next run starts from
-        for done in range(self.base, start, 16 * k):
-            step = min(16 * k, start - done)
-            ahead = extend_linear(ahead, self.coefficients, k + step)[step:]
-        ahead = extend_linear(ahead, self.coefficients, hi - start + 1)
+        values = []
         if lo < self.base:
-            last = self.coefficients[-1]
-            if last == 0:
-                raise NotSolvableBackward(
-                    "backward extension requires a nonzero trailing coefficient"
-                )
-            # a(base+k-1) down to a(base), then below: coefficients[-1] * a(n)
-            # = a(n+k) - sum_{i<k} coefficients[i-1] * a(n+k-i)
-            solve = tuple(-c for c in self.coefficients[-2::-1]) + (1,)
-            behind = ahead[k - 1 :: -1]
-            top = self.base + k - 1
-            extend_linear(behind, solve, top - lo + 1, last, top)
-            ahead = behind[::-1] + ahead[k:]
-        return tuple(ahead[: hi - lo + 1])
+            values = self._reversed()._walk(-min(hi, self.base - 1), -lo)[::-1]
+        if hi >= self.base:
+            values += self._walk(max(lo, self.base), hi)
+        return tuple(values)
+
+    def _reversed(self) -> LinearRecurrence:
+        """The recurrence of b(t) = a(-t), seeded with the same values:
+
+            b(t) = last * b(t-k) - last * sum_{i<k} coefficients[k-1-i] * b(t-i)
+
+        solves a's recurrence for its lowest term, so it needs last =
+        coefficients[-1] to be its own inverse, +-1.
+        """
+        last = self.coefficients[-1]
+        if last not in (1, -1):
+            raise NotSolvableBackward(
+                "backward extension requires a trailing coefficient of +-1"
+            )
+        weights = (*(-last * c for c in self.coefficients[-2::-1]), last)
+        return LinearRecurrence(weights, self.initial[::-1], 1 - self.base - self.order)
+
+    def _walk(self, lo: int, hi: int) -> list[int]:
+        """The values at indices lo..hi, for base <= lo, as a list.  The walk
+        up to lo goes in runs of 16k steps, each keeping only k values."""
+        k = self.order
+        values, start = list(self.initial), self.base
+        while lo - start > 16 * k:
+            values = extend_linear(values, self.coefficients, 17 * k)[16 * k :]
+            start += 16 * k
+        stop = hi - start + 1
+        return extend_linear(values, self.coefficients, stop)[lo - start : stop]
 
 
-def extend_linear(
-    values: list[int],
-    weights: Sequence[int],
-    stop: int,
-    divisor: int = 1,
-    top: int = 0,
-) -> list[int]:
+def extend_linear(values: list[int], weights: Sequence[int], stop: int) -> list[int]:
     """Append to values, until it holds stop of them, the solutions of
 
-        divisor * v(t) = H(t) = sum_{i=1..k} weights[i-1] * v(t-i),
+        v(t) = H(t) = sum_{i=1..k} weights[i-1] * v(t-i),
 
     and return values.  It must hold at least k = len(weights) values.
 
     The first new value takes the dense head.  Each later one may instead
     use the rule's multiple by (X - 1): H(t) - H(t-1) needs only the lags
     where consecutive weights differ, and the last step made H(t-1) =
-    divisor * v(t-1), so
+    v(t-1), so
 
-        H(t) = divisor * v(t-1) + sum_{i=1..k+1} (w_i - w_{i-1}) * v(t-i)
+        H(t) = v(t-1) + sum_{i=1..k+1} (w_i - w_{i-1}) * v(t-i)
 
     with w_0 = w_{k+1} = 0.  That rule is used when it has fewer nonzero
     terms than the weights: the k-step family steps a(n+1) = 2a(n) - a(n-k)
     forward and a(n) = 2a(n+k) - a(n+k+1) backward, O(1) big-int work per
-    step.  Both heads are the same integer, so a head that divisor does not
-    divide raises at the same step either way; values[t] is taken to be the
-    sequence at index top - t, which names that step.
+    step.
     """
     k = len(weights)
     rev = weights[::-1]
     lags = list(map(sub, (*weights, 0), (0, *weights)))  # w_i - w_{i-1}
-    lags[0] += divisor
+    lags[0] += 1
     terms = [(-i, c) for i, c in enumerate(lags, start=1) if c]
     sparse = len(terms) < k - weights.count(0)
     first = len(values)
@@ -142,15 +139,7 @@ def extend_linear(
                 head += c * values[i]
         else:
             head = sum(map(mul, rev, values[-k:]))
-        if divisor == 1:
-            values.append(head)
-            continue
-        step, rem = divmod(head, divisor)
-        if rem:
-            raise NonIntegralBackwardStep(
-                f"index {top - t}: {head} is not divisible by {divisor}"
-            )
-        values.append(step)
+        values.append(head)
     return values
 
 
@@ -171,12 +160,9 @@ def random_kbonacci(k: int, seed: int) -> LinearRecurrence:
     The stride identities hold for any seed values, so these instances
     exercise that independence deterministically.
     """
-    if k < 2:
-        raise OrderTooSmall(f"order {k} is below 2")
+    coefficients = kbonacci(k).coefficients
     rng = random.Random(seed)
-    return LinearRecurrence(
-        (1,) * k, tuple(rng.randint(-9, 9) for _ in range(k)), base=0
-    )
+    return LinearRecurrence(coefficients, [rng.randint(-9, 9) for _ in range(k)])
 
 
 class IdentityReport:
@@ -199,11 +185,11 @@ class IdentityReport:
         self.hi = hi
         # each failure is (index, actual value, value predicted by the identity)
         self.failures = failures
-        # ok, decided from order-many residuals, and the recurrence's trailing
-        # coefficient is +-1: then the residual vanishes in both directions, at
-        # every integer n.  An ok report without it is certified only for n >= lo
-        # (any other trailing coefficient) or only on [lo, hi] (a range shorter
-        # than the order).
+        # ok, the recurrence's trailing coefficient is +-1 and the range holds
+        # at least order-many indices: the residual is 0 at the seeds, so in
+        # both directions, at every integer n.  An ok report without it is
+        # certified only for n >= lo (any other trailing coefficient) or only
+        # on [lo, hi] (a range shorter than the order).
         self.holds_for_all_n = holds_for_all_n
 
     @property
@@ -242,16 +228,15 @@ def check_identity(
     """Check a(n) == sum_j coefficients[j] * a(n - stride*(j+1)) for n in lo..hi.
 
     Decided from the residual r(n) = a(n) - (the identity's prediction).
-    For n >= lo + k, r(n) - sum_i rec.coefficients[i-1] * r(n-i) combines
-    instances of the recurrence at indices no lower than lo - stride *
-    len(coefficients), so it is 0: r obeys the recurrence and its k lowest
-    values in the range decide it everywhere above.  With a trailing
-    coefficient of +-1, r runs backward in integers too, so the k residuals
-    at the seeds are checked first, at a cost that does not depend on where
-    [lo, hi] lies: all 0, and r is 0 at every n.  Otherwise only the window
-    up to lo + k - 1 is built; when those k residuals are all 0 the identity
-    holds on [lo, hi] (and for every n >= lo).  Else r is extended over the
-    range by the recurrence and each index where it is nonzero is reported.
+    r is a fixed combination of shifts of a, so r(n) - sum_i
+    rec.coefficients[i-1] * r(n-i) combines instances of the recurrence.
+    With a trailing coefficient of +-1 those hold at every n, so r obeys
+    the recurrence in both directions and its k values at the seeds decide
+    it everywhere, at a cost that does not depend on where [lo, hi] lies.
+    Otherwise they hold only above the seeds, and the k values at lo decide
+    r for every n >= lo.  All k zero, and the identity holds; else r is run
+    by the recurrence from those k values over the range, and each index
+    where it is nonzero is reported.
     """
     coefficients = tuple(coefficients)
     if not coefficients:
@@ -261,22 +246,15 @@ def check_identity(
     if lo > hi:
         raise WindowTooNarrow(f"empty index range [{lo}, {hi}]")
     k = rec.order
-    decided = hi - lo + 1 >= k  # a shorter range is just its seeds
     unit = rec.coefficients[-1] in (1, -1)
-    if unit and not any(_residuals(rec, coefficients, stride, rec.base, rec.base + k - 1)):
-        return IdentityReport(coefficients, stride, lo, hi, holds_for_all_n=decided)
-    residuals = _residuals(rec, coefficients, stride, lo, min(hi, lo + k - 1))
+    anchor = rec.base if unit else lo
+    residuals = _residuals(rec, coefficients, stride, anchor, anchor + k - 1)
     if not any(residuals):
-        holds = decided and unit
+        holds = unit and hi - lo + 1 >= k
         return IdentityReport(coefficients, stride, lo, hi, holds_for_all_n=holds)
-    if decided:
-        extension = LinearRecurrence(rec.coefficients, residuals, base=lo)
-        residuals = extension.window(lo, hi)
-    failures = tuple(
-        (n, a, a - r)
-        for n, a, r in zip(range(lo, hi + 1), rec.window(lo, hi), residuals)
-        if r
-    )
+    extension = LinearRecurrence(rec.coefficients, residuals, base=anchor)
+    values = zip(range(lo, hi + 1), rec.window(lo, hi), extension.window(lo, hi))
+    failures = tuple((n, a, a - r) for n, a, r in values if r)
     return IdentityReport(coefficients, stride, lo, hi, failures)
 
 
