@@ -32,7 +32,7 @@ from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import NegativeRow, NotMonic, OrderTooSmall
 from .intpoly import IntPoly
 from .jsontext import dumps
-from .prover import Certificate, ProductMatrix, certify_divisibility, identity_coefficients
+from .prover import Certificate, certify_divisibility, identity_coefficients
 from .sequences import check_identity, kbonacci, random_kbonacci
 from .triangles import coeff_rows, diff_rows
 
@@ -109,32 +109,34 @@ def _cmd_triangle(args: SimpleNamespace) -> int:
 # --- prove ------------------------------------------------------------------
 
 
-def _write_matrix(fmt: str, matrix: ProductMatrix) -> None:
-    """Write matrix in fmt: for json its rows of ints, standing at depth 2;
-    for tsv and markdown the case row, the labelled rows (blank where zero)
-    and the SUM row.
+def _write_matrix(fmt: str, cert: Certificate) -> None:
+    """Write the product matrix of cert in fmt: for json its rows of ints,
+    standing at depth 2; for tsv and markdown the case row, the labelled
+    rows (blank where zero) and the SUM row.
 
     Row r is r zero cells, the quotient's cells (negated in row k) and zero
-    cells to the width.  The quotient is turned into text joined by the
-    writer's cell separator once, so each row reaches the writer whole.
+    cells to the width k*k + 1.  The quotient is turned into text joined by
+    the writer's cell separator once, so each row reaches the writer whole.
     """
     zero = "0" if fmt == "json" else ""
     sep = _cell_separator(fmt, depth=2)
-    width, n = matrix.width, len(matrix.quotient.coeffs)
+    k, n = cert.k, len(cert.quotient.coeffs)
+    width = k * k + 1
     body, negated = (
         sep.join([str(v) if v else zero for v in poly])
-        for poly in (matrix.quotient, -matrix.quotient)
+        for poly in (cert.quotient, -cert.quotient)
     )
     rows = (
         (zero + sep) * r + text + (sep + zero) * (width - r - n)
-        for r, text in enumerate([body] * matrix.k + [negated])
+        for r, text in enumerate([body] * k + [negated])
     )
     if fmt == "json":
         _write_json_rows(([row] for row in rows), depth=2)
         return
-    labelled = ([label, row] for label, row in zip(matrix.row_labels, rows))
-    sums = ["SUM", *map(str, matrix.column_sums)]
-    cases = ["case", *matrix.column_cases]
+    labels = [f"X^{r}" for r in range(k)] + [f"-X^{k}"]
+    labelled = ([label, row] for label, row in zip(labels, rows))
+    sums = ["SUM", *map(str, cert.column_sums)]
+    cases = ["case", *cert.column_cases]
     if fmt == "tsv":
         _write_rows("tsv", chain([cases], labelled, [sums]))
     else:
@@ -142,10 +144,12 @@ def _write_matrix(fmt: str, matrix: ProductMatrix) -> None:
         _write_rows("markdown", chain([columns], labelled, [sums]), cases)
 
 
-def _certificate_fields(cert: Certificate) -> list[tuple[str, str]]:
+def _certificate_fields(
+    cert: Certificate, cases: dict[str, dict[str, int]]
+) -> list[tuple[str, str]]:
     composed = cert.stride_poly.compose_power(cert.k)
     tallies = ", ".join(
-        f"{label} {t.passed}/{t.total}" for label, t in cert.case_tallies.items()
+        f"{label} {c['passed']}/{c['passed'] + c['failed']}" for label, c in cases.items()
     )
     identity = _identity_text(recurrence_coefficients(cert.stride_poly), cert.k)
     verdict = "PASS" if cert.ok else "FAIL"
@@ -167,7 +171,13 @@ def _certificate_fields(cert: Certificate) -> list[tuple[str, str]]:
 
 def _cmd_prove(args: SimpleNamespace) -> int:
     cert = certify_divisibility(args.k)
-    matrix = cert.matrix if args.show_matrix else None
+    cases = {
+        label: {
+            "passed": cert.column_cases.count(label) - len(failed),
+            "failed": len(failed),
+        }
+        for label, failed in cert.failed_columns.items()
+    }
     write = sys.stdout.write
     if args.format == "json":
         doc = {
@@ -179,39 +189,36 @@ def _cmd_prove(args: SimpleNamespace) -> int:
             "division_matches": cert.division_matches,
             "product_matches": cert.product_matches,
             "matrix_verified": cert.matrix_verified,
-            "cases": {
-                label: {"passed": t.passed, "failed": t.failed}
-                for label, t in cert.case_tallies.items()
-            },
+            "cases": cases,
             "verdict": "PASS" if cert.ok else "FAIL",
         }
-        if matrix is None:
+        if not args.show_matrix:
             print(dumps(doc))
         else:
             doc["matrix"] = {
-                "k": matrix.k,
-                "case_row": list(matrix.column_cases),
-                "row_labels": list(matrix.row_labels),
+                "k": cert.k,
+                "case_row": list(cert.column_cases),
+                "row_labels": [f"X^{r}" for r in range(cert.k)] + [f"-X^{cert.k}"],
                 "rows": [],
-                "column_sums": list(matrix.column_sums),
+                "column_sums": list(cert.column_sums),
             }
             # the rows, made one at a time, go where the empty list stands
             head, _, tail = dumps(doc).partition('"rows": []')
             write(head + '"rows": ')
-            _write_matrix("json", matrix)
+            _write_matrix("json", cert)
             write(tail + "\n")
     elif args.format == "tsv":
-        _write_rows("tsv", _certificate_fields(cert))
-        if matrix is not None:
-            _write_matrix("tsv", matrix)
+        _write_rows("tsv", _certificate_fields(cert, cases))
+        if args.show_matrix:
+            _write_matrix("tsv", cert)
     else:
         print(f"# Divisibility certificate, order {cert.k}")
         print()
-        for key, value in _certificate_fields(cert):
+        for key, value in _certificate_fields(cert, cases):
             print(f"- {key}: {value}")
-        if matrix is not None:
+        if args.show_matrix:
             print()
-            _write_matrix("markdown", matrix)
+            _write_matrix("markdown", cert)
     return 0 if cert.ok else 1
 
 

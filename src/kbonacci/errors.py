@@ -51,7 +51,3 @@ class ZeroPolynomialDegree(ValueError):
 
 class BadCompositionPower(ValueError):
     """Substitution of X**k for X with k below 1."""
-
-
-class TargetWidthMismatch(ValueError):
-    """Case sums checked against a target not as long as the matrix is wide."""

@@ -55,9 +55,6 @@ class IntPoly:
         """Build from highest-degree-first coefficients (CLI input order)."""
         return cls(reversed(list(coeffs)))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -129,7 +126,7 @@ class IntPoly:
         """
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         if not other.is_monic:
             raise NotMonic(f"divisor {other} is not monic")

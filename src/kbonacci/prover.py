@@ -28,12 +28,14 @@ The matrix columns fall into five families A-E, each with its own
 closed-form column sum (a triangle recursion step, a telescoping
 difference, a power-of-two identity, or a four-group cancellation).
 Writing a column as c = j*k + m with 0 <= m < k, the families come in
-runs inside each block j, so both the case row and the closed-form sums
-are built per block, not per column: case_row labels the columns and
-case_sums recomputes every column's sum from its family's closed form
-rather than by adding the column.  Every step costs O(k**2) time and
-memory: the matrix keeps no cells, and makes a row only when it is
-printed.
+runs inside each block j, so case_analysis walks the blocks once and
+gives every column its label and the sum its family's closed form
+predicts, rather than adding the column.  column_sums slides the window
+along the quotient, and failed_columns names, per family, the columns
+where the closed form, the column sum and the target differ.  One
+Certificate holds the result of all three routes.  Every step costs
+O(k**2) time and memory: no matrix cell is kept, and the CLI makes a row
+only when it prints it.
 
 Functions that read triangle entries take the table rows =
 list(coeff_rows(k)) and work out k as len(rows) - 1, so each certificate
@@ -46,7 +48,7 @@ from _collections_abc import Iterable
 from itertools import accumulate
 from operator import neg, sub
 
-from .errors import EmptyCoefficients, OrderTooSmall, TargetWidthMismatch
+from .errors import EmptyCoefficients, OrderTooSmall
 from .intpoly import IntPoly
 from .triangles import coeff_rows
 
@@ -118,69 +120,20 @@ def quotient_poly(rows: list[list[int]]) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def case_row(k: int) -> tuple[str, ...]:
-    """Case label A-E of every column of the product matrix, block by block.
+def column_sums(quotient: IntPoly, k: int) -> tuple[int, ...]:
+    """Column sums of the product matrix of (-base_charpoly(k)) * quotient.
 
-    Writing c = j*k + m with 0 <= m < k: block 0 is A at column 0, then B;
-    block j (1 <= j <= k-2) is C at its multiple of k, E for 1 <= m <= j,
-    then B; the last block (j = k-1) is all D, and column k*k is A again.
-    Total and mutually exclusive.
+    Row r (0 <= r <= k-1) of the matrix holds the ascending coefficients of
+    X**r * quotient and row k those of -X**k * quotient, so its k*k + 1
+    columns tabulate (-base) * quotient.  Column c sums to
+    q[c] + ... + q[c-k+1] - q[c-k]: one window of k coefficients slid
+    along q, O(k**2) in all.
     """
-    _require_order(k)
-    middle = "".join("C" + "E" * j + "B" * (k - 1 - j) for j in range(1, k - 1))
-    return tuple("A" + "B" * (k - 1) + middle + "D" * k + "A")
-
-
-class ProductMatrix:
-    """Long-hand multiplication of the negated base poly by the quotient.
-
-    Row r (0 <= r <= k-1) holds the ascending coefficients of
-    X**r * quotient; row k holds those of -X**k * quotient.  Column sums
-    therefore tabulate (-base) * quotient and must reproduce
-    -stride_charpoly(X**k) column by column.  Only the quotient, the
-    column cases and the column sums are stored; the CLI's matrix writer
-    makes a row's cells when it prints the row.
-    """
-
-    __slots__ = ("k", "quotient", "column_cases", "column_sums")
-
-    def __init__(
-        self,
-        k: int,
-        quotient: IntPoly,
-        column_cases: tuple[str, ...],
-        column_sums: tuple[int, ...],
-    ):
-        self.k = k
-        self.quotient = quotient
-        self.column_cases = column_cases
-        self.column_sums = column_sums
-
-    @property
-    def width(self) -> int:
-        return self.k * self.k + 1
-
-    @property
-    def row_labels(self) -> tuple[str, ...]:
-        return tuple(f"X^{r}" for r in range(self.k)) + (f"-X^{self.k}",)
-
-
-def build_matrix(rows: list[list[int]]) -> ProductMatrix:
-    """Product matrix of (-base_charpoly(k)) * quotient_poly(rows), read
-    from rows = list(coeff_rows(k)).
-
-    Rows 0..k-1 each add one shifted copy of the quotient q and row k
-    subtracts X**k * q, so column c sums to q[c] + ... + q[c-k+1] - q[c-k]:
-    one window of k coefficients slid along q, O(k**2) in all.
-    """
-    k = len(rows) - 1
-    quotient = quotient_poly(rows)
     width = k * k + 1
     q = quotient.coeffs + (0,) * (width - len(quotient.coeffs))
     leaving = (0,) * k + q[: width - k]  # q[c-k], which leaves the window at c
     window = accumulate(map(sub, q, leaving))  # q[c-k+1] + ... + q[c]
-    sums = tuple(map(sub, window, leaving))
-    return ProductMatrix(k, quotient, case_row(k), sums)
+    return tuple(map(sub, window, leaving))
 
 
 def _e_sums(rows: list[list[int]], j: int) -> list[int]:
@@ -208,17 +161,26 @@ def _e_sums(rows: list[list[int]], j: int) -> list[int]:
     return sums
 
 
-def case_sums(rows: list[list[int]]) -> list[int]:
-    """Every column sum of the product matrix as its case argument predicts
-    it, not by adding the column; entries are read from
-    rows = list(coeff_rows(k)), one block of k columns at a time."""
+def case_analysis(rows: list[list[int]]) -> tuple[str, tuple[int, ...]]:
+    """The case label A-E of every product-matrix column, and its sum as the
+    case argument predicts it, not by adding the column; entries are read
+    from rows = list(coeff_rows(k)), one block of k columns at a time.
+
+    Writing c = j*k + m with 0 <= m < k: block 0 is A at column 0, then B;
+    block j (1 <= j <= k-2) is C at its multiple of k, E for 1 <= m <= j,
+    then B; the last block (j = k-1) is all D, and column k*k is A again.
+    Total and mutually exclusive.
+    """
     k = len(rows) - 1
+    _require_order(k)
     last = rows[k - 1]
     # A: column 0 holds only the quotient's constant term, C[k][k].  B: the
     # head term -C[k-1][k-1-j] and the difference column below it, which
     # telescopes to C[k-1][k-1-j], cancel exactly
+    cases = ["A" + "B" * (k - 1)]
     sums = [rows[k][k]] + [0] * (k - 1)
     for j in range(1, k - 1):
+        cases.append("C" + "E" * j + "B" * (k - 1 - j))
         # C: one triangle recursion step, equal to C[k][k-j]
         sums.append(2 * last[k - j] - last[k - j - 1])
         sums += _e_sums(rows, j)
@@ -226,50 +188,29 @@ def case_sums(rows: list[list[int]]) -> list[int]:
     # D: geometric sums of powers of two, 1 + 2*(2**(k-1) - 1) in the
     # block's first column and 1 + (2**(k-1-m) - 1) - 2**(k-1-m) after it.
     # A: column k*k holds only the negated leading term
-    return sums + [2**k - 1] + [0] * (k - 1) + [-1]
+    cases.append("D" * k + "A")
+    return "".join(cases), tuple(sums + [2**k - 1] + [0] * (k - 1) + [-1])
 
 
-class CaseTally:
-    """Pass/fail counts for one column family."""
-
-    __slots__ = ("passed", "failed", "failed_columns")
-
-    def __init__(self, passed: int, failed: int, failed_columns: tuple[int, ...] = ()):
-        self.passed = passed
-        self.failed = failed
-        self.failed_columns = failed_columns
-
-    @property
-    def total(self) -> int:
-        return self.passed + self.failed
-
-
-def verify_case_sums(
-    rows: list[list[int]], matrix: ProductMatrix, target: tuple[int, ...]
-) -> dict[str, CaseTally]:
-    """Check every column of matrix three ways: case closed form (read from
-    rows = list(coeff_rows(k))) == actual column sum == target, the matrix
-    width's coefficients of -stride_charpoly(k)(X**k).  The three lists are
-    compared whole, and the columns walked only to name the ones that fail.
+def failed_columns(
+    cases: str,
+    expected: tuple[int, ...],
+    sums: tuple[int, ...],
+    target: tuple[int, ...],
+) -> dict[str, tuple[int, ...]]:
+    """The columns of each case family whose closed form (expected), column
+    sum and target, the coefficients of -stride_charpoly(k)(X**k), are not
+    all equal.  The three lists are compared whole, and the columns walked
+    only to name the ones that fail; a target of another width fails the
+    comparison and raises ValueError in the walk.
     """
-    if len(target) != matrix.width:
-        raise TargetWidthMismatch(f"{len(target)} target coefficients, {matrix.width} columns")
-    expected = tuple(case_sums(rows))
     failed: dict[str, list[int]] = {label: [] for label in CASE_LABELS}
-    if not expected == matrix.column_sums == target:
-        columns = zip(range(matrix.width), expected, matrix.column_sums, target)
-        for c, closed_form, actual, want in columns:
+    if not expected == sums == target:
+        columns = enumerate(zip(expected, sums, target, strict=True))
+        for c, (closed_form, actual, want) in columns:
             if not closed_form == actual == want:
-                failed[matrix.column_cases[c]].append(c)
-    cases = "".join(matrix.column_cases)
-    return {
-        label: CaseTally(
-            cases.count(label) - len(failed[label]),
-            len(failed[label]),
-            tuple(failed[label]),
-        )
-        for label in CASE_LABELS
-    }
+                failed[cases[c]].append(c)
+    return {label: tuple(found) for label, found in failed.items()}
 
 
 class Certificate:
@@ -277,49 +218,56 @@ class Certificate:
 
     division_matches: long division of stride_charpoly(X**k) by the base
     polynomial (through the trinomial (X-1) * base) left remainder 0 and
-    returned the explicit quotient.  product_matches: the window sums of
-    the quotient, which are the coefficients of (-base) * quotient, equal
-    -stride_charpoly(X**k).  matrix_verified: every column of matrix
-    passed its case check.  Double-entry on purpose: a bug in either the
-    product or the division cannot slip through both.
+    returned the explicit quotient.  product_matches: column_sums, the
+    window sums of the quotient and so the coefficients of
+    (-base) * quotient, equal -stride_charpoly(X**k).  column_cases holds
+    each column's case label and failed_columns, per label, the columns
+    whose closed form, sum and target differ; matrix_verified: there are
+    none.  Double-entry on purpose: a bug in either the product or the
+    division cannot slip through both.
     """
 
     __slots__ = (
         "k",
-        "base_poly",
         "stride_poly",
         "quotient",
         "remainder",
         "division_matches",
         "product_matches",
-        "matrix_verified",
-        "case_tallies",
-        "matrix",
+        "column_cases",
+        "column_sums",
+        "failed_columns",
     )
 
     def __init__(
         self,
         k: int,
-        base_poly: IntPoly,
         stride_poly: IntPoly,
         quotient: IntPoly,
         remainder: IntPoly,
         division_matches: bool,
         product_matches: bool,
-        matrix_verified: bool,
-        case_tallies: dict[str, CaseTally],
-        matrix: ProductMatrix,
+        column_cases: str,
+        column_sums: tuple[int, ...],
+        failed_columns: dict[str, tuple[int, ...]],
     ):
         self.k = k
-        self.base_poly = base_poly
         self.stride_poly = stride_poly
         self.quotient = quotient
         self.remainder = remainder
         self.division_matches = division_matches
         self.product_matches = product_matches
-        self.matrix_verified = matrix_verified
-        self.case_tallies = case_tallies
-        self.matrix = matrix
+        self.column_cases = column_cases
+        self.column_sums = column_sums
+        self.failed_columns = failed_columns
+
+    @property
+    def base_poly(self) -> IntPoly:
+        return base_charpoly(self.k)
+
+    @property
+    def matrix_verified(self) -> bool:
+        return not any(self.failed_columns.values())
 
     @property
     def ok(self) -> bool:
@@ -345,19 +293,18 @@ def certify_divisibility(k: int) -> Certificate:
     division_quotient, scaled_remainder = divmod(
         composed * x_minus_one, base * x_minus_one
     )
-    matrix = build_matrix(rows)
+    quotient = quotient_poly(rows)
+    sums = column_sums(quotient, k)
+    cases, expected = case_analysis(rows)
     target = tuple(map(neg, composed.coeffs))
-    tallies = verify_case_sums(rows, matrix, target)
     return Certificate(
         k=k,
-        base_poly=base,
         stride_poly=stride,
-        quotient=matrix.quotient,
+        quotient=quotient,
         remainder=scaled_remainder // x_minus_one,
-        division_matches=scaled_remainder.is_zero()
-        and division_quotient == matrix.quotient,
-        product_matches=matrix.column_sums == target,
-        matrix_verified=all(t.failed == 0 for t in tallies.values()),
-        case_tallies=tallies,
-        matrix=matrix,
+        division_matches=not scaled_remainder and division_quotient == quotient,
+        product_matches=sums == target,
+        column_cases=cases,
+        column_sums=sums,
+        failed_columns=failed_columns(cases, expected, sums, target),
     )

@@ -168,19 +168,15 @@ def random_kbonacci(k: int, seed: int) -> LinearRecurrence:
 class IdentityReport:
     """Outcome of checking a strided identity over an index range."""
 
-    __slots__ = ("coefficients", "stride", "lo", "hi", "failures", "holds_for_all_n")
+    __slots__ = ("lo", "hi", "failures", "holds_for_all_n")
 
     def __init__(
         self,
-        coefficients: tuple[int, ...],
-        stride: int,
         lo: int,
         hi: int,
         failures: tuple[tuple[int, int, int], ...] = (),
         holds_for_all_n: bool = False,
     ):
-        self.coefficients = coefficients
-        self.stride = stride
         self.lo = lo
         self.hi = hi
         # each failure is (index, actual value, value predicted by the identity)
@@ -251,11 +247,11 @@ def check_identity(
     residuals = _residuals(rec, coefficients, stride, anchor, anchor + k - 1)
     if not any(residuals):
         holds = unit and hi - lo + 1 >= k
-        return IdentityReport(coefficients, stride, lo, hi, holds_for_all_n=holds)
+        return IdentityReport(lo, hi, holds_for_all_n=holds)
     extension = LinearRecurrence(rec.coefficients, residuals, base=anchor)
     values = zip(range(lo, hi + 1), rec.window(lo, hi), extension.window(lo, hi))
     failures = tuple((n, a, a - r) for n, a, r in values if r)
-    return IdentityReport(coefficients, stride, lo, hi, failures)
+    return IdentityReport(lo, hi, failures)
 
 
 def _residuals(

@@ -16,13 +16,15 @@ from kbonacci.cli import main
 from kbonacci.decimation import decimated_charpoly, recurrence_coefficients
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import (
+    CASE_LABELS,
     base_charpoly,
-    build_matrix,
+    case_analysis,
     certify_divisibility,
+    column_sums,
+    failed_columns,
     identity_coefficients,
     quotient_poly,
     stride_charpoly,
-    verify_case_sums,
 )
 from kbonacci.sequences import (
     LinearRecurrence,
@@ -135,24 +137,27 @@ def test_criterion_03_symbolic_certification():
 def test_criterion_04_matrix_verification():
     with criterion(4, "product-matrix verification, orders 2..12", 10.0):
         for k in range(2, 13):
-            matrix = build_matrix(list(coeff_rows(k)))
+            sums = column_sums(quotient_poly(list(coeff_rows(k))), k)
             target = -(stride_charpoly(k).compose_power(k))
-            assert list(matrix.column_sums) == [
+            assert list(sums) == [
                 target.coeff(c) for c in range(k * k + 1)
             ], k
-        matrix5 = build_matrix(list(coeff_rows(5)))
-        assert [list(row) for row in matrix_rows(matrix5)] == MATRIX_5
-        assert list(matrix5.column_sums) == MATRIX_5_SUMS
-        assert "".join(matrix5.column_cases) == CASES_5
+        rows5 = list(coeff_rows(5))
+        quotient5 = quotient_poly(rows5)
+        assert [list(row) for row in matrix_rows(quotient5, 5)] == MATRIX_5
+        assert list(column_sums(quotient5, 5)) == MATRIX_5_SUMS
+        assert case_analysis(rows5)[0] == CASES_5
 
 
 def test_criterion_05_case_proof_checker():
     with criterion(5, "closed-form case checks, orders 2..12", 10.0):
         for k in range(2, 13):
             rows = list(coeff_rows(k))
-            tallies = verify_case_sums(rows, build_matrix(rows), negated_target(k))
-            assert all(tally.failed == 0 for tally in tallies.values()), (k, tallies)
-            assert sum(tally.passed for tally in tallies.values()) == k * k + 1
+            cases, expected = case_analysis(rows)
+            sums = column_sums(quotient_poly(rows), k)
+            failed = failed_columns(cases, expected, sums, negated_target(k))
+            assert failed == {label: () for label in CASE_LABELS}, (k, failed)
+            assert len(cases) == len(expected) == k * k + 1
 
 
 def test_criterion_06_oracle_equivalence():

@@ -15,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 import kbonacci
 from kbonacci import cli
 from kbonacci.cli import FORMATS, main
-from kbonacci.prover import build_matrix
+from kbonacci.prover import certify_divisibility
 from kbonacci.sequences import IdentityReport
-from kbonacci.triangles import coeff_rows
 from test_prover import matrix_rows
 
 DATA = Path(__file__).parent / "data"
@@ -168,22 +167,24 @@ class TestProve:
         assert "verdict: PASS" in out
 
     def test_failure_exit_code(self, capsys, monkeypatch):
+        # one failed D column is counted against the family's two columns
         cert = cli.certify_divisibility(2)
         broken = type(cert)(
             k=cert.k,
-            base_poly=cert.base_poly,
             stride_poly=cert.stride_poly,
             quotient=cert.quotient,
             remainder=cert.remainder,
             division_matches=False,
             product_matches=cert.product_matches,
-            matrix_verified=cert.matrix_verified,
-            case_tallies=cert.case_tallies,
-            matrix=cert.matrix,
+            column_cases=cert.column_cases,
+            column_sums=cert.column_sums,
+            failed_columns={**cert.failed_columns, "D": (3,)},
         )
         monkeypatch.setattr(cli, "certify_divisibility", lambda k: broken)
         code, out = run_cli(capsys, "prove", "--k", "2")
         assert code == 1
+        assert "matrix column sums verified: NO" in out
+        assert "case checks (passed/total): A 2/2, B 1/1, C 0/0, D 1/2, E 0/0" in out
         assert "verdict: FAIL" in out
 
 
@@ -225,7 +226,7 @@ class TestVerify:
         assert excinfo.value.code == 2
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        failing = IdentityReport((3, -1), 2, 4, 10, failures=((5, 5, 4),))
+        failing = IdentityReport(4, 10, failures=((5, 5, 4),))
         monkeypatch.setattr(cli, "check_identity", lambda *a, **kw: failing)
         code, out = run_cli(capsys, "verify", "--k", "2", "--n-from", "4", "--n-to", "10")
         assert code == 1
@@ -378,22 +379,24 @@ class TestJsonStability:
         assert rerendered == out
 
 
-def matrix_row_by_row(fmt: str, matrix) -> str:
-    """What `prove --show-matrix` writes for matrix, made from its rows of
-    cells one at a time: the reference for the writer that shares the
-    quotient's text between rows."""
-    rows = [list(row) for row in matrix_rows(matrix)]
+def matrix_row_by_row(fmt: str, cert) -> str:
+    """What `prove --show-matrix` writes for the product matrix of cert,
+    made from its rows of cells one at a time: the reference for the writer
+    that shares the quotient's text between rows."""
+    k = cert.k
+    rows = [list(row) for row in matrix_rows(cert.quotient, k)]
     if fmt == "json":
         return json.dumps(rows, indent=2).replace("\n", "\n    ")
+    labels = [f"X^{r}" for r in range(k)] + [f"-X^{k}"]
     cells = [
         [label] + [str(v) if v else "" for v in row]
-        for label, row in zip(matrix.row_labels, rows)
+        for label, row in zip(labels, rows)
     ]
-    cells.append(["SUM"] + [str(v) for v in matrix.column_sums])
-    case = ["case", *matrix.column_cases]
+    cells.append(["SUM"] + [str(v) for v in cert.column_sums])
+    case = ["case", *cert.column_cases]
     if fmt == "tsv":
         return "".join("\t".join(row) + "\n" for row in [case] + cells)
-    columns = ["col"] + [f"X^{c}" for c in range(matrix.width)]
+    columns = ["col"] + [f"X^{c}" for c in range(k * k + 1)]
     lines = [case, ["---"] * len(case), columns] + cells
     return "".join("| " + " | ".join(row) + " |\n" for row in lines)
 
@@ -403,9 +406,9 @@ class TestMatrixWriter:
     def test_shared_text_matches_row_by_row(self, capsys, fmt):
         # orders 2..40, those prove-ladder asks for
         for k in range(2, 41):
-            matrix = build_matrix(list(coeff_rows(k)))
-            cli._write_matrix(fmt, matrix)
-            assert capsys.readouterr().out == matrix_row_by_row(fmt, matrix), k
+            cert = certify_divisibility(k)
+            cli._write_matrix(fmt, cert)
+            assert capsys.readouterr().out == matrix_row_by_row(fmt, cert), k
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_writes_whole_rows(self, monkeypatch, fmt):
@@ -417,7 +420,7 @@ class TestMatrixWriter:
                 calls.append(len(text))
 
         monkeypatch.setattr(sys, "stdout", CountingStdout())
-        cli._write_matrix(fmt, build_matrix(list(coeff_rows(k))))
+        cli._write_matrix(fmt, certify_divisibility(k))
         assert 0 < len(calls) <= 8 * (k + 2)
 
 

@@ -97,7 +97,7 @@ class TestDivmod:
         # (X^4 - 3X^2 + 1) / (X^2 - X - 1) = X^2 + X - 1 exactly
         quotient, remainder = divmod(poly(1, 0, -3, 0, 1), poly(-1, -1, 1))
         assert quotient == poly(-1, 1, 1)
-        assert remainder.is_zero()
+        assert not remainder
 
     def test_self_division(self):
         p = poly(-1, -1, 1)
@@ -111,7 +111,7 @@ class TestDivmod:
 
     def test_low_degree_numerator(self):
         quotient, remainder = divmod(poly(1, 1), poly(-1, -1, 1))
-        assert quotient.is_zero()
+        assert not quotient
         assert remainder == poly(1, 1)
 
     def test_division_by_zero(self):
@@ -207,7 +207,7 @@ class TestAlgebraicProperties:
     def test_divrem_round_trip_for_monic_divisors(self, num, den):
         quotient, remainder = divmod(num, den)
         assert den * quotient + remainder == num
-        assert remainder.is_zero() or remainder.degree < den.degree
+        assert not remainder or remainder.degree < den.degree
 
     @given(polys, st.integers(min_value=1, max_value=6), st.integers(-20, 20))
     def test_compose_power_then_evaluate(self, p, k, x):

@@ -6,20 +6,19 @@ import tracemalloc
 import pytest
 
 from kbonacci import prover
-from kbonacci.errors import EmptyCoefficients, NegativeRow, OrderTooSmall, TargetWidthMismatch
+from kbonacci.errors import EmptyCoefficients, NegativeRow, OrderTooSmall
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import (
     CASE_LABELS,
     base_charpoly,
-    build_matrix,
-    case_row,
-    case_sums,
+    case_analysis,
     certify_divisibility,
+    column_sums,
+    failed_columns,
     identity_charpoly,
     identity_coefficients,
     quotient_poly,
     stride_charpoly,
-    verify_case_sums,
 )
 from kbonacci.triangles import coeff_rows
 
@@ -48,14 +47,15 @@ def diff_entry(rows: list[list[int]], i: int, j: int) -> int:
     return coeff_entry(rows, i, j) - coeff_entry(rows, i - 1, j)
 
 
-def matrix_rows(matrix: prover.ProductMatrix) -> tuple[tuple[int, ...], ...]:
-    """Every row of matrix as cells: row r is the quotient shifted right by
-    r, negated in row k.  The reference for the CLI's matrix writer."""
+def matrix_rows(quotient: IntPoly, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every row of the order-k product matrix as cells: row r is the
+    quotient shifted right by r, negated in row k, and k*k + 1 cells wide.
+    The reference for the CLI's matrix writer."""
     rows = []
-    for r in range(matrix.k + 1):
-        poly = -matrix.quotient if r == matrix.k else matrix.quotient
+    for r in range(k + 1):
+        poly = -quotient if r == k else quotient
         cells = (0,) * r + poly.coeffs
-        rows.append(cells + (0,) * (matrix.width - len(cells)))
+        rows.append(cells + (0,) * (k * k + 1 - len(cells)))
     return tuple(rows)
 
 
@@ -66,13 +66,24 @@ def negated_target(k: int) -> tuple[int, ...]:
 
 
 def failed_columns_by_walk(
-    rows: list[list[int]], matrix: prover.ProductMatrix, target: tuple[int, ...]
+    rows: list[list[int]], sums: tuple[int, ...], target: tuple[int, ...]
 ) -> list[int]:
     """The columns whose closed form, column sum and target are not all
     equal, compared one column at a time: the oracle of the whole-list
-    comparison in verify_case_sums."""
-    columns = zip(case_sums(rows), matrix.column_sums, target)
+    comparison in failed_columns."""
+    columns = zip(case_analysis(rows)[1], sums, target)
     return [c for c, (e, a, w) in enumerate(columns) if not e == a == w]
+
+
+def all_failed(failed: dict[str, tuple[int, ...]]) -> list[int]:
+    """Every column named in failed_columns' result, in ascending order."""
+    return sorted(c for columns in failed.values() for c in columns)
+
+
+def matrix_sums(rows: list[list[int]]) -> tuple[int, ...]:
+    """The column sums of the product matrix of the quotient read from
+    rows = list(coeff_rows(k))."""
+    return column_sums(quotient_poly(rows), len(rows) - 1)
 
 
 def quotient_by_entry(rows: list[list[int]]) -> IntPoly:
@@ -100,7 +111,7 @@ class NotAnEColumn(ValueError):
 
 def classify_column(k: int, c: int) -> str:
     """Case label A-E for column c of the product matrix, one column at a
-    time: the reference for prover.case_row.
+    time: the reference for the labels of prover.case_analysis.
 
     Writing c = j*k + m with 0 <= m < k: A for the two end columns, D for
     the last block (j = k-1), C for interior multiples of k, E for
@@ -141,7 +152,7 @@ def case_e_group_sums(rows: list[list[int]], c: int) -> tuple[int, int, int, int
 
 def expected_column_sum(rows: list[list[int]], c: int) -> int:
     """Column sum predicted by column c's case argument, one column at a
-    time: the reference for prover.case_sums."""
+    time: the reference for the closed-form sums of prover.case_analysis."""
     k = len(rows) - 1
     label = classify_column(k, c)
     if label == "A":
@@ -186,7 +197,7 @@ class TestPolynomials:
         # brute-force long division is the oracle for the assembled quotient
         composed = stride_charpoly(3).compose_power(3)
         division_quotient, remainder = divmod(composed, base_charpoly(3))
-        assert remainder.is_zero()
+        assert not remainder
         assert quotient_poly(list(coeff_rows(3))) == division_quotient
         assert str(quotient_poly(list(coeff_rows(3)))) == "X^6+X^5+2X^4-3X^3-X+1"
 
@@ -203,7 +214,10 @@ class TestPolynomials:
         def quotient(k):
             return quotient_poly(list(coeff_rows(k)))
 
-        for fn in (base_charpoly, stride_charpoly, quotient, identity_coefficients, case_row):
+        def cases(k):
+            return case_analysis(list(coeff_rows(k)))
+
+        for fn in (base_charpoly, stride_charpoly, quotient, identity_coefficients, cases):
             with pytest.raises(OrderTooSmall):
                 fn(k)
 
@@ -273,46 +287,45 @@ class TestClassification:
 
     def test_block_case_row_matches_column_oracle(self):
         for k in range(2, 81):
-            assert case_row(k) == tuple(classify_column(k, c) for c in range(k * k + 1)), k
+            cases = case_analysis(list(coeff_rows(k)))[0]
+            assert cases == "".join(classify_column(k, c) for c in range(k * k + 1)), k
 
 
 class TestMatrix:
     def test_order_two_matrix(self):
-        matrix = build_matrix(list(coeff_rows(2)))
-        assert matrix_rows(matrix) == (
+        quotient = quotient_poly(list(coeff_rows(2)))
+        assert matrix_rows(quotient, 2) == (
             (-1, 1, 1, 0, 0),
             (0, -1, 1, 1, 0),
             (0, 0, 1, -1, -1),
         )
-        assert matrix.column_sums == (-1, 0, 3, 0, -1)
+        assert column_sums(quotient, 2) == (-1, 0, 3, 0, -1)
 
     def test_order_five_first_row(self):
-        matrix = build_matrix(list(coeff_rows(5)))
-        assert matrix_rows(matrix)[0][:15] == (
+        assert matrix_rows(quotient_poly(list(coeff_rows(5))), 5)[0][:15] == (
             1, -1, 0, 0, 0, -7, 6, 1, 0, 0, 17, -12, -4, -1, 0,
         )
 
     def test_order_five_sum_row_at_block_columns(self):
-        matrix = build_matrix(list(coeff_rows(5)))
-        assert [matrix.column_sums[c] for c in (0, 5, 10, 15, 20, 25)] == [
+        sums = matrix_sums(list(coeff_rows(5)))
+        assert [sums[c] for c in (0, 5, 10, 15, 20, 25)] == [
             1, -9, 31, -49, 31, -1,
         ]
 
     def test_column_sums_reproduce_composed_polynomial(self):
         for k in range(2, 13):
-            matrix = build_matrix(list(coeff_rows(k)))
             target = -(stride_charpoly(k).compose_power(k))
-            assert list(matrix.column_sums) == [
+            assert list(matrix_sums(list(coeff_rows(k)))) == [
                 target.coeff(c) for c in range(k * k + 1)
             ]
 
     def test_block_column_sums_are_triangle_entries(self):
         for k in range(2, 11):
             rows = list(coeff_rows(k))
-            matrix = build_matrix(rows)
+            sums = matrix_sums(rows)
             for j in range(k):
-                assert matrix.column_sums[j * k] == coeff_entry(rows, k, k - j)
-            assert matrix.column_sums[k * k] == -1
+                assert sums[j * k] == coeff_entry(rows, k, k - j)
+            assert sums[k * k] == -1
 
 
 def symbolic_matrix(k: int) -> list[list[str]]:
@@ -321,7 +334,7 @@ def symbolic_matrix(k: int) -> list[list[str]]:
     "C(i,j)" / "D(i,j)" name coefficient- and difference-triangle entries,
     "1" the quotient's leading coefficient, "" a structural zero.  Row 0
     is read off the quotient's block structure; later rows shift it right
-    and the last row negates it, mirroring build_matrix.  Resolving each
+    and the last row negates it, mirroring the product matrix's rows.  Resolving each
     label through the triangles must reproduce the numeric matrix.
     """
     width = k * k + 1
@@ -383,7 +396,7 @@ class TestSymbolicMatrix:
     def test_labels_resolve_to_numeric_matrix(self):
         for k in range(2, 9):
             rows = list(coeff_rows(k))
-            numeric = matrix_rows(build_matrix(rows))
+            numeric = matrix_rows(quotient_poly(rows), k)
             cells = symbolic_matrix(k)
             assert len(numeric) == len(cells) == k + 1
             for r in range(k + 1):
@@ -413,22 +426,24 @@ class TestCaseSums:
     def test_no_failures_up_to_order_twelve(self):
         for k in range(2, 13):
             rows = list(coeff_rows(k))
-            tallies = verify_case_sums(rows, build_matrix(rows), negated_target(k))
-            assert all(t.failed == 0 for t in tallies.values()), (k, tallies)
-            assert sum(t.passed for t in tallies.values()) == k * k + 1
+            cases, expected = case_analysis(rows)
+            failed = failed_columns(cases, expected, matrix_sums(rows), negated_target(k))
+            assert failed == {label: () for label in CASE_LABELS}, (k, failed)
+            assert len(cases) == len(expected) == k * k + 1
 
     def test_block_sums_match_column_oracle(self):
         for k in range(2, 61):
             rows = list(coeff_rows(k))
-            assert case_sums(rows) == [expected_column_sum(rows, c) for c in range(k * k + 1)], k
+            expected = tuple(expected_column_sum(rows, c) for c in range(k * k + 1))
+            assert case_analysis(rows)[1] == expected, k
 
     @pytest.mark.parametrize("k", [5, 8, 12])
     def test_perturbed_entry_fails_the_columns_that_read_it(self, k):
-        # the matrix and composed come from the true triangle, so only the
-        # closed forms see the perturbed entry: a failure shows that the case
-        # side reads the triangle and does not restate the column sums
+        # the column sums and composed come from the true triangle, so only
+        # the closed forms see the perturbed entry: a failure shows that the
+        # case side reads the triangle and does not restate the column sums
         rows = list(coeff_rows(k))
-        matrix = build_matrix(rows)
+        sums = matrix_sums(rows)
         target = negated_target(k)
         width = k * k + 1
         families = set()
@@ -441,15 +456,13 @@ class TestCaseSums:
                     for c in range(width)
                     if expected_column_sum(perturbed, c) != expected_column_sum(rows, c)
                 ]
-                tallies = verify_case_sums(perturbed, matrix, target)
-                failed = sorted(c for t in tallies.values() for c in t.failed_columns)
-                assert failed == moved, (i, j)
-                for label, tally in tallies.items():
-                    assert all(classify_column(k, c) == label for c in tally.failed_columns)
-                    assert tally.passed + tally.failed == [
-                        classify_column(k, c) for c in range(width)
-                    ].count(label)
-                    if tally.failed:
+                cases, expected = case_analysis(perturbed)
+                failed = failed_columns(cases, expected, sums, target)
+                assert all_failed(failed) == moved, (i, j)
+                assert list(failed) == list(CASE_LABELS)
+                for label, columns in failed.items():
+                    assert all(classify_column(k, c) == label for c in columns)
+                    if columns:
                         families.add(label)
         assert families == {"C", "E"}
 
@@ -459,24 +472,25 @@ class TestCaseSums:
         # the whole-list comparison must still name exactly the column whose
         # actual sum or target moved, in that column's family
         rows = list(coeff_rows(k))
-        matrix = build_matrix(rows)
-        for c in range(matrix.width):
-            sums, target = list(matrix.column_sums), list(negated_target(k))
+        cases, expected = case_analysis(rows)
+        for c in range(k * k + 1):
+            sums, target = list(matrix_sums(rows)), list(negated_target(k))
             (sums if side == "column sum" else target)[c] += 1
-            moved = prover.ProductMatrix(k, matrix.quotient, matrix.column_cases, tuple(sums))
-            tallies = verify_case_sums(rows, moved, tuple(target))
-            failed = {label: t.failed_columns for label, t in tallies.items() if t.failed}
-            assert failed == {matrix.column_cases[c]: (c,)}, c
-            assert failed_columns_by_walk(rows, moved, tuple(target)) == [c]
-            assert sum(t.total for t in tallies.values()) == matrix.width
+            sums, target = tuple(sums), tuple(target)
+            result = failed_columns(cases, expected, sums, target)
+            assert list(result) == list(CASE_LABELS)
+            failed = {label: columns for label, columns in result.items() if columns}
+            assert failed == {cases[c]: (c,)}, c
+            assert failed_columns_by_walk(rows, sums, target) == [c]
 
     @pytest.mark.parametrize("target", [negated_target(5)[:-1], negated_target(5) + (0,)])
     def test_target_of_another_width_raises(self, target):
         # a short target would leave columns unnamed when the comparison
         # fails, a long one would carry coefficients past the last column
         rows = list(coeff_rows(5))
-        with pytest.raises(TargetWidthMismatch, match="26 columns"):
-            verify_case_sums(rows, build_matrix(rows), target)
+        cases, expected = case_analysis(rows)
+        with pytest.raises(ValueError, match="argument 3 is"):
+            failed_columns(cases, expected, matrix_sums(rows), target)
 
 
 class TestCertificate:
@@ -484,7 +498,7 @@ class TestCertificate:
         cert = certify_divisibility(2)
         assert cert.ok
         assert cert.quotient == IntPoly((-1, 1, 1))
-        assert cert.remainder.is_zero()
+        assert not cert.remainder
 
     def test_order_five_quotient_matches_reference(self):
         cert = certify_divisibility(5)
@@ -507,11 +521,11 @@ class TestCertificate:
     def test_builds_case_row_once(self, k, monkeypatch):
         calls = []
 
-        def counting_case_row(order):
-            calls.append(order)
-            return case_row(order)
+        def counting_case_analysis(rows):
+            calls.append(len(rows) - 1)
+            return case_analysis(rows)
 
-        monkeypatch.setattr(prover, "case_row", counting_case_row)
+        monkeypatch.setattr(prover, "case_analysis", counting_case_analysis)
         assert certify_divisibility(k).ok
         assert calls == [k]
 
@@ -547,8 +561,8 @@ class TestDenseOracle:
         cert = certify_divisibility(k)
         quotient = quotient_poly(list(coeff_rows(k)))
         dense_rows, dense_sums = dense_matrix(quotient, k)
-        assert matrix_rows(cert.matrix) == dense_rows
-        assert cert.matrix.column_sums == dense_sums
+        assert matrix_rows(cert.quotient, k) == dense_rows
+        assert cert.column_sums == dense_sums
         composed = stride_charpoly(k).compose_power(k)
         assert cert.product_matches is ((-base_charpoly(k)) * quotient == -composed)
         assert cert.product_matches
@@ -564,8 +578,9 @@ class TestDenseOracle:
         monkeypatch.setattr(prover, "quotient_poly", perturbed)
         cert = certify_divisibility(k)
         assert cert.quotient == perturbed(list(coeff_rows(k)))
-        failed = sorted(c for t in cert.case_tallies.values() for c in t.failed_columns)
-        assert failed == failed_columns_by_walk(list(coeff_rows(k)), cert.matrix, negated_target(k))
+        failed = all_failed(cert.failed_columns)
+        rows = list(coeff_rows(k))
+        assert failed == failed_columns_by_walk(rows, cert.column_sums, negated_target(k))
         assert failed
         assert not cert.division_matches
         assert not cert.product_matches
@@ -584,7 +599,7 @@ class TestDenseOracle:
         cert = certify_divisibility(k)
         composed = cert.stride_poly.compose_power(k)
         plain_quotient, plain_remainder = divmod(composed, base_charpoly(k))
-        assert not plain_remainder.is_zero()
+        assert plain_remainder
         assert cert.remainder == plain_remainder
         assert (plain_quotient == cert.quotient) is (len(offset) == 1)
         assert not cert.division_matches
@@ -592,6 +607,5 @@ class TestDenseOracle:
         assert not cert.ok
         # the offset moves the composed coefficients at X**(k*i), and so the
         # target of exactly those columns
-        failed = sorted(c for t in cert.case_tallies.values() for c in t.failed_columns)
-        assert failed == [k * i for i, v in enumerate(offset) if v]
+        assert all_failed(cert.failed_columns) == [k * i for i, v in enumerate(offset) if v]
         assert not cert.matrix_verified

@@ -266,7 +266,7 @@ class TestResidueTallies:
     def test_closed_form_matches_brute_force(self, lo, width, mod, offsets):
         hi = lo + width
         failures = tuple((lo + d, 0, 1) for d in sorted(offsets) if d <= width)
-        report = IdentityReport((1,), 1, lo, hi, failures)
+        report = IdentityReport(lo, hi, failures)
         expected = {
             r: (
                 sum(1 for n in range(lo, hi + 1) if n % mod == r),
@@ -409,7 +409,7 @@ def check_identity_from_lo(rec, coefficients, stride, lo, hi):
     decided = len(residuals) == k
     if not any(residuals):
         holds = decided and rec.coefficients[-1] in (1, -1)
-        return IdentityReport(coefficients, stride, lo, hi, holds_for_all_n=holds)
+        return IdentityReport(lo, hi, holds_for_all_n=holds)
     if decided:
         extension = LinearRecurrence(rec.coefficients, residuals, base=lo)
         residuals = extension.window(lo, hi)
@@ -418,7 +418,7 @@ def check_identity_from_lo(rec, coefficients, stride, lo, hi):
         for n, a, r in zip(range(lo, hi + 1), rec.window(lo, hi), residuals)
         if r
     )
-    return IdentityReport(coefficients, stride, lo, hi, failures)
+    return IdentityReport(lo, hi, failures)
 
 
 def report_fields(report):

@@ -108,7 +108,6 @@ UNREACHED = {
     "kbonacci.cli.run": "the console-script entry point, which calls main",
     "kbonacci.intpoly.IntPoly.__add__": "the tests' Bareiss and companion-matrix oracles add",
     "kbonacci.intpoly.IntPoly.__sub__": "the same oracles subtract",
-    "kbonacci.intpoly.IntPoly.__bool__": "truth value, so `if poly` means nonzero",
     "kbonacci.intpoly.IntPoly.__hash__": "goes with __eq__, so polynomials can be dict keys",
     "kbonacci.intpoly.IntPoly.__repr__": "what a failing assertion prints",
     "kbonacci.jsontext._escape": "only strings that need escapes reach it; no output has one",
