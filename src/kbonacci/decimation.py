@@ -9,11 +9,12 @@ q's coefficients.  Graeffe root-squaring is the case s = 2.  Everything is
 exact over Python ints: each backward step divides by m, and a nonzero
 remainder raises instead of leaving the integers.
 
-Newton's identities seed P_1..P_n in O(n^2) operations; the n*s power sums
-then step through `sequences.extend_linear`, the stepper the recurrence
-windows use.  For the k-step family each step costs O(1) big-int
-operations (P_{m+1} = 2 P_m - P_{m-k}), so decimating p_k at stride k is
-O(k^2) in all; a dense p costs O(n) per step, O(n^2 s) in all.
+Newton's identities seed P_1..P_n in O(n^2) operations; then
+`sequences.LinearRecurrence.walk`, which builds the windows too, steps on
+to P_{n*s} and samples Q_1..Q_n, holding O(n) power sums at a time.  For
+the k-step family a step costs O(1) big-int operations (P_{m+1} = 2 P_m -
+P_{m-k}), O(k^2) in all for p_k at stride k; P_m has about m bits, so
+that is O(k^4) bit operations.  A dense p costs O(n^2 s) operations.
 
 This route never touches the coefficient triangles, which makes it an
 independent oracle for the stride identities, and it works for any monic
@@ -26,7 +27,7 @@ from operator import mul
 
 from .errors import BadStride, InexactNewtonStep, NotMonic
 from .intpoly import IntPoly
-from .sequences import extend_linear
+from .sequences import LinearRecurrence
 
 
 def recurrence_coefficients(charpoly: IntPoly) -> list[int]:
@@ -55,8 +56,8 @@ def decimated_charpoly(charpoly: IntPoly, stride: int) -> IntPoly:
     sums = [0] * n
     for m in range(1, n + 1):
         sums.append(sum(map(mul, rev, sums[-n:])) + m * c[m - 1])
-    sums = extend_linear(sums[n:], c, n * stride)  # P_1..P_{n*s}
-    q_sums = sums[stride - 1 :: stride]  # Q_1..Q_n
+    # Q_1..Q_n = P_s, P_2s, ..., P_ns, keeping O(n) power sums at a time
+    q_sums = LinearRecurrence(c, sums[n:], base=1).walk(stride, n * stride, stride)
     d: list[int] = []
     for m in range(1, n + 1):
         # d holds d_1..d_{m-1}, so the map stops after Q_{m-1}..Q_1

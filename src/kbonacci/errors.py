@@ -21,6 +21,10 @@ class WindowTooNarrow(ValueError):
     """Empty index range: lo > hi for a window or an identity check."""
 
 
+class BelowBase(ValueError):
+    """A forward walk of a recurrence asked to start below its seeds."""
+
+
 class NotSolvableBackward(ValueError):
     """A recurrence runs backward only with a trailing coefficient of +-1."""
 

@@ -102,8 +102,6 @@ class IntPoly:
             return IntPoly(c * other for c in self.coeffs)
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -133,8 +131,6 @@ class IntPoly:
         den = other.coeffs
         dd = len(den) - 1
         num = list(self.coeffs)
-        if len(num) - 1 < dd:
-            return IntPoly(), self
         terms = [(i, d) for i, d in enumerate(den[:-1]) if d]
         quot = [0] * (len(num) - dd)
         for shift in range(len(num) - dd - 1, -1, -1):
@@ -153,8 +149,6 @@ class IntPoly:
         """Substitute X**k for X: coefficient of X**i moves to X**(i*k)."""
         if k < 1:
             raise BadCompositionPower("composition power must be >= 1")
-        if not self.coeffs or k == 1:
-            return self
         out = [0] * ((len(self.coeffs) - 1) * k + 1)
         for i, c in enumerate(self.coeffs):
             out[i * k] = c

@@ -1,19 +1,18 @@
 """Monic integer linear recurrences, evaluable forward and backward.
 
 A LinearRecurrence is a(n) = sum_{i=1..k} coefficients[i-1] * a(n-i) with
-k seed values starting at a base index.  A window is built in flat lists
-by one stepper, extend_linear, which every other recurrence walk in the
-package (the power sums of `decimation`) shares.  After its first step it
-steps by the multiple (X - 1) * p of the characteristic polynomial p
-whenever that has fewer nonzero terms: the k-step family then costs two
-multiplications per step, a(n+1) = 2a(n) - a(n-k), instead of a sum over
-k values; dense rules keep the k-term dot product.  Windows may extend
-below the base when the trailing coefficient is +-1 (always the case for
-the k-step Fibonacci family): then b(t) = a(-t) obeys the time-reversed
-recurrence, an integer recurrence of the same order, and going backward
-is going forward on it.  Either way a window far from the base walks to
-it keeping only the last values of the walk.  Any other trailing
-coefficient raises on a window below the base.
+k seed values starting at a base index.  Every walk of a recurrence in
+the package, a window here or the power sums of `decimation`, is one
+LinearRecurrence.walk: runs of 16k steps of one stepper, extend_linear,
+keeping only the last k values between runs.  After its first step the
+stepper uses the multiple (X - 1) * p of the characteristic polynomial p
+when that has fewer nonzero terms: the k-step family then costs two
+multiplications per step, a(n+1) = 2a(n) - a(n-k); dense rules keep the
+k-term dot product.  Windows may extend below the base when the trailing
+coefficient is +-1 (always the case for the k-step Fibonacci family):
+then b(t) = a(-t) obeys the time-reversed recurrence, an integer
+recurrence of the same order, and going backward is walking forward on
+it.  Any other trailing coefficient raises on a window below the base.
 
 check_identity verifies a strided self-similarity identity
 a(n) = sum_j coeffs[j] * a(n - stride*(j+1)) over an index range through
@@ -33,6 +32,7 @@ from operator import mul, sub
 from .errors import (
     BadModulus,
     BadStride,
+    BelowBase,
     EmptyCoefficients,
     NotSolvableBackward,
     OrderTooSmall,
@@ -73,9 +73,9 @@ class LinearRecurrence:
             raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
         values = []
         if lo < self.base:
-            values = self._reversed()._walk(-min(hi, self.base - 1), -lo)[::-1]
+            values = self._reversed().walk(-min(hi, self.base - 1), -lo)[::-1]
         if hi >= self.base:
-            values += self._walk(max(lo, self.base), hi)
+            values += self.walk(max(lo, self.base), hi)
         return tuple(values)
 
     def _reversed(self) -> LinearRecurrence:
@@ -94,16 +94,20 @@ class LinearRecurrence:
         weights = (*(-last * c for c in self.coefficients[-2::-1]), last)
         return LinearRecurrence(weights, self.initial[::-1], 1 - self.base - self.order)
 
-    def _walk(self, lo: int, hi: int) -> list[int]:
-        """The values at indices lo..hi, for base <= lo, as a list.  The walk
-        up to lo goes in runs of 16k steps, each keeping only k values."""
+    def walk(self, lo: int, hi: int, step: int = 1) -> list[int]:
+        """The values at lo, lo + step, ... up to hi, for base <= lo, as a list,
+        from runs of 16k steps that keep only their last k values."""
+        if lo < self.base:
+            raise BelowBase(f"a walk starts at the base {self.base} or above, not {lo}")
         k = self.order
-        values, start = list(self.initial), self.base
-        while lo - start > 16 * k:
-            values = extend_linear(values, self.coefficients, 17 * k)[16 * k :]
-            start += 16 * k
-        stop = hi - start + 1
-        return extend_linear(values, self.coefficients, stop)[lo - start : stop]
+        values, start, out = list(self.initial), self.base, []
+        while True:
+            values = extend_linear(values, self.coefficients, min(17 * k, hi - start + 1))
+            # lo + step * len(out) is the next index to collect
+            out += values[lo + step * len(out) - start : hi - start + 1 : step]
+            if start + len(values) > hi:
+                return out
+            start, values = start + len(values) - k, values[-k:]
 
 
 def extend_linear(values: list[int], weights: Sequence[int], stop: int) -> list[int]:
@@ -181,11 +185,10 @@ class IdentityReport:
         self.hi = hi
         # each failure is (index, actual value, value predicted by the identity)
         self.failures = failures
-        # ok, the recurrence's trailing coefficient is +-1 and the range holds
-        # at least order-many indices: the residual is 0 at the seeds, so in
-        # both directions, at every integer n.  An ok report without it is
-        # certified only for n >= lo (any other trailing coefficient) or only
-        # on [lo, hi] (a range shorter than the order).
+        # ok and the recurrence's trailing coefficient is +-1: the residual
+        # is 0 at the seeds, so in both directions, at every integer n.  An
+        # ok report without it is certified for n >= lo (any other trailing
+        # coefficient) or only on [lo, hi] (a residual nonzero outside it).
         self.holds_for_all_n = holds_for_all_n
 
     @property
@@ -241,13 +244,11 @@ def check_identity(
         raise BadStride(f"stride must be >= 1, got {stride}")
     if lo > hi:
         raise WindowTooNarrow(f"empty index range [{lo}, {hi}]")
-    k = rec.order
     unit = rec.coefficients[-1] in (1, -1)
     anchor = rec.base if unit else lo
-    residuals = _residuals(rec, coefficients, stride, anchor, anchor + k - 1)
+    residuals = _residuals(rec, coefficients, stride, anchor, anchor + rec.order - 1)
     if not any(residuals):
-        holds = unit and hi - lo + 1 >= k
-        return IdentityReport(lo, hi, holds_for_all_n=holds)
+        return IdentityReport(lo, hi, holds_for_all_n=unit)
     extension = LinearRecurrence(rec.coefficients, residuals, base=anchor)
     values = zip(range(lo, hi + 1), rec.window(lo, hi), extension.window(lo, hi))
     failures = tuple((n, a, a - r) for n, a, r in values if r)

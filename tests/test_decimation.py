@@ -10,6 +10,7 @@ and Cayley-Hamilton tests keep the oracle itself honest.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable
@@ -363,6 +364,17 @@ class TestPowerSums:
     def test_matches_triangle_route_above_forty(self, k):
         # the power sums of p_k step by P_{m+1} = 2 P_m - P_{m-k}
         assert decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k)
+
+    def test_order_150_in_bounded_memory(self):
+        # the walk keeps one run of 16k power sums, not all k^2 of them
+        tracemalloc.start()
+        try:
+            decimated = decimated_charpoly(base_charpoly(150), 150)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15_000_000
+        assert decimated == stride_charpoly(150)
 
     @given(run_coefficients(), st.integers(1, 6))
     def test_matches_dense_power_sums(self, coefficients, stride):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from kbonacci.errors import (
     BadModulus,
     BadStride,
+    BelowBase,
     EmptyCoefficients,
     NotSolvableBackward,
     OrderTooSmall,
@@ -98,6 +99,35 @@ class TestWindow:
     def test_mismatched_seed_count_rejected(self):
         with pytest.raises(ValueError):
             LinearRecurrence((1, 1), (1,))
+
+
+@st.composite
+def walks(draw):
+    """A k-step or dense recurrence of order 1-8 and a walk over several
+    runs of 16k steps: its start, end and a step of 1..3k."""
+    k = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        coefficients = (1,) * k
+    else:
+        coefficients = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    seeds = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+    rec = LinearRecurrence(coefficients, seeds, base=draw(st.integers(-20, 20)))
+    lo = rec.base + draw(st.integers(0, 48 * k))
+    hi = lo + draw(st.integers(0, 80 * k))
+    return rec, lo, hi, draw(st.integers(1, 3 * k))
+
+
+class TestWalk:
+    @given(walks())
+    def test_samples_the_window(self, case):
+        rec, lo, hi, step = case
+        assert rec.walk(lo, hi, step) == list(rec.window(lo, hi))[::step]
+
+    def test_below_the_base_raises(self):
+        rec = LinearRecurrence((1, 1), (0, 1), base=3)
+        assert rec.walk(3, 4) == [0, 1]
+        with pytest.raises(BelowBase):
+            rec.walk(2, 4)
 
 
 class TestCheckIdentity:
@@ -388,8 +418,8 @@ class TestAgainstOracle:
 
 
 def check_identity_from_lo(rec, coefficients, stride, lo, hi):
-    """check_identity decided from the k residuals at the bottom of [lo, hi]
-    alone, never at the seeds: the oracle of the check at the seeds, which
+    """check_identity decided from the k residuals at lo..lo+k-1 alone, even
+    past hi, never at the seeds: the oracle of the check at the seeds, which
     must give the same report field for field."""
     coefficients = tuple(coefficients)
     if not coefficients:
@@ -400,22 +430,19 @@ def check_identity_from_lo(rec, coefficients, stride, lo, hi):
         raise WindowTooNarrow(f"empty index range [{lo}, {hi}]")
     k = rec.order
     reach = stride * len(coefficients)
-    values = rec.window(lo - reach, min(hi, lo + k - 1))
+    values = rec.window(lo - reach, lo + k - 1)
     rev = coefficients[::-1]
     residuals = tuple(
         values[i] - sum(map(mul, rev, values[i - reach : i : stride]))
         for i in range(reach, len(values))
     )
-    decided = len(residuals) == k
     if not any(residuals):
-        holds = decided and rec.coefficients[-1] in (1, -1)
+        holds = rec.coefficients[-1] in (1, -1)
         return IdentityReport(lo, hi, holds_for_all_n=holds)
-    if decided:
-        extension = LinearRecurrence(rec.coefficients, residuals, base=lo)
-        residuals = extension.window(lo, hi)
+    extension = LinearRecurrence(rec.coefficients, residuals, base=lo)
     failures = tuple(
         (n, a, a - r)
-        for n, a, r in zip(range(lo, hi + 1), rec.window(lo, hi), residuals)
+        for n, a, r in zip(range(lo, hi + 1), rec.window(lo, hi), extension.window(lo, hi))
         if r
     )
     return IdentityReport(lo, hi, failures)
