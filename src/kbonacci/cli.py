@@ -64,18 +64,26 @@ def _write_rows(
         write("| " + sep.join(row) + " |\n")
 
 
-def _write_json_rows(rows: Iterable[Iterable[str]], depth: int) -> None:
-    """Write the bytes jsontext.dumps gives a list of rows of ints standing at
-    nesting depth `depth`, one row at a time; each row comes as the text of
-    its cells.  The list and every row must be nonempty."""
+def _write_json_rows(
+    rows: Iterable[tuple], depth: int, width: int, cell: str = "%d"
+) -> None:
+    """Write the bytes jsontext.dumps gives a list of rows standing at nesting
+    depth `depth`, one row at a time and each with one %: a row of m cells,
+    at most `width`, fills the first m cells of a line format whose cells are
+    `cell`, "%d" for ints or "%s" for text already in JSON.  Each line format
+    begins by closing the row before it, so no text is added after a %.  The
+    list and every row must be nonempty."""
     outer, row_pad = ("\n" + "  " * d for d in (depth, depth + 1))
     sep = _cell_separator("json", depth)  # "," then the indent of a cell
+    cells = cell + (sep + cell) * (width - 1)
+    line = "[" + row_pad + "[" + sep[1:] + cells
+    later = row_pad + "]," + row_pad + "[" + sep[1:] + cells
+    step = len(sep) + len(cell)
     write = sys.stdout.write
-    separator = "["
     for row in rows:
-        write(separator + row_pad + "[" + sep[1:] + sep.join(row) + row_pad + "]")
-        separator = ","
-    write(outer + "]")
+        write(line[: len(line) - step * (width - len(row))] % row)
+        line = later
+    write(row_pad + "]" + outer + "]")
 
 
 def _identity_text(coefficients: list[int], stride: int) -> str:
@@ -90,19 +98,36 @@ def _identity_text(coefficients: list[int], stride: int) -> str:
 
 
 def _cmd_triangle(args: SimpleNamespace) -> int:
+    """Write rows 0..n of the p or q triangle as they are made.  Each line is
+    made by one % of a line format that holds the framing, the cell
+    separators and, in markdown, the row index and the padding zeros.  One
+    format of the n + 1 cells is built per request, and row i takes its
+    prefix with i + 1 cells.  A line format begins by closing the row before
+    it (in markdown with that row's padding zeros), so no text is added
+    after a %."""
     rows = coeff_rows(args.rows) if args.kind == "p" else diff_rows(args.rows)
+    width = args.rows + 1
+    write = sys.stdout.write
     if args.format == "json":
-        _write_json_rows((map(str, row) for row in rows), depth=0)
-        sys.stdout.write("\n")
+        _write_json_rows(map(tuple, rows), depth=0, width=width)
+        write("\n")
     elif args.format == "tsv":
-        _write_rows("tsv", (map(str, row) for row in rows))
+        line = "%d" + "\t%d" * args.rows
+        later = "\n" + line  # the newline that ends the row before
+        for row in rows:
+            write(line[: len(line) - 3 * (width - len(row))] % tuple(row))
+            line = later
+        write("\n")
     else:
-        width = args.rows + 1
-        padded = (
-            [str(i), *map(str, row)] + ["0"] * (width - len(row))
-            for i, row in enumerate(rows)
-        )
-        _write_rows("markdown", padded, ["row/col", *map(str, range(width))])
+        head = "| row/col" + " | %d" * width + " |\n" + "| --- " * (width + 1) + "|\n"
+        write(head % tuple(range(width)))
+        # line i is the zeros and close of row i - 1, then row i: a slice
+        lines = " | 0" * width + " |\n| %d" + " | %d" * width
+        start = 4 * width + 3  # row 0 closes no row before it
+        for i, row in enumerate(rows):
+            write(lines[start : len(lines) - 5 * (width - len(row))] % (i, *row))
+            start = 4 * (i + 1)
+        write(" |\n")
     return 0
 
 
@@ -116,22 +141,25 @@ def _write_matrix(fmt: str, cert: Certificate) -> None:
 
     Row r is r zero cells, the quotient's cells (negated in row k) and zero
     cells to the width k*k + 1.  The quotient is turned into text joined by
-    the writer's cell separator once, so each row reaches the writer whole.
+    the writer's cell separator once, so each row reaches the writer whole;
+    for json, where a zero prints as 0, by one % of the joined cells.
     """
     zero = "0" if fmt == "json" else ""
     sep = _cell_separator(fmt, depth=2)
     k, n = cert.k, len(cert.quotient.coeffs)
     width = k * k + 1
-    body, negated = (
-        sep.join([str(v) if v else zero for v in poly])
-        for poly in (cert.quotient, -cert.quotient)
-    )
+    polys = (cert.quotient, -cert.quotient)
+    if fmt == "json":
+        cells = sep.join(["%d"] * n)
+        body, negated = (cells % poly.coeffs for poly in polys)
+    else:
+        body, negated = (sep.join([str(v) if v else zero for v in poly]) for poly in polys)
     rows = (
         (zero + sep) * r + text + (sep + zero) * (width - r - n)
         for r, text in enumerate([body] * k + [negated])
     )
     if fmt == "json":
-        _write_json_rows(([row] for row in rows), depth=2)
+        _write_json_rows(((row,) for row in rows), depth=2, width=1, cell="%s")
         return
     labels = [f"X^{r}" for r in range(k)] + [f"-X^{k}"]
     labelled = ([label, row] for label, row in zip(labels, rows))
@@ -282,6 +310,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _parse_charpoly(text: str) -> IntPoly:
+    """The value of --charpoly: a monic polynomial of degree >= 1 from its
+    comma-separated descending coefficients."""
     try:
         descending = [int(part) for part in text.split(",")]
     except ValueError as exc:
@@ -300,7 +330,7 @@ def _parse_charpoly(text: str) -> IntPoly:
 def _cmd_decimate(args: SimpleNamespace) -> int:
     if args.stride < 1:
         raise _UsageError("--stride must be >= 1")
-    poly = _parse_charpoly(args.charpoly)
+    poly = args.charpoly
     decimated = decimated_charpoly(poly, args.stride)
     coefficients = recurrence_coefficients(decimated)
     if args.format == "json":
@@ -379,8 +409,10 @@ _FORMAT = {"--format": (FORMATS, "markdown", "output format (default: markdown)"
 
 # name: (handler, help, positional, flags).  The positional is None or
 # (attribute, choices).  Each flag maps to (type, default, help), where type
-# is int, str, bool (a switch, which takes no value) or a tuple of choices;
-# the handler reads flag --n-from as args.n_from.
+# is int, bool (a switch, which takes no value), a tuple of choices, or a
+# function that reads the text and raises _UsageError on bad input; every
+# value is read here, before the handler lifts the int-to-str digit limit.
+# The handler reads flag --n-from as args.n_from.
 _COMMANDS = {
     "triangle": (
         _cmd_triangle,
@@ -424,7 +456,7 @@ _COMMANDS = {
         None,
         {
             "--charpoly": (
-                str,
+                _parse_charpoly,
                 _REQUIRED,
                 "comma-separated descending coefficients, leading 1 first",
             ),
@@ -448,7 +480,9 @@ _COMMANDS = {
 def _flag_text(flag: str, kind: object) -> str:
     if kind is bool:
         return flag
-    return f"{flag} " + ({int: "INT", str: "TEXT"}.get(kind) or "{" + ",".join(kind) + "}")
+    if kind is int:
+        return f"{flag} INT"
+    return f"{flag} " + ("TEXT" if callable(kind) else "{" + ",".join(kind) + "}")
 
 
 def _synopsis(name: str) -> str:
@@ -495,7 +529,9 @@ def _value(flag: str, kind: object, text: str) -> object:
             return int(text)
         except ValueError:
             raise _UsageError(f"{flag}: invalid int value: {text!r}") from None
-    if kind is not str and text not in kind:
+    if callable(kind):
+        return kind(text)
+    if text not in kind:
         choices = ", ".join(kind)
         raise _UsageError(f"{flag}: invalid choice: {text!r} (choose from {choices})")
     return text
@@ -564,10 +600,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command (argv defaults to sys.argv[1:]); returns the exit code,
     0 when every check passed and 1 on a verification failure.  Help exits
     through SystemExit(0); a usage error writes the one stderr line
-    "kbonacci: error: <message>" and exits through SystemExit(2)."""
+    "kbonacci: error: <message>" and exits through SystemExit(2).  Integers
+    on the command line are read under Python's int-to-str digit limit; the
+    handler runs with the limit lifted, so output of any size is written,
+    and the caller's limit is restored when it returns."""
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
-        return handler(args)
+        if not hasattr(sys, "get_int_max_str_digits"):  # no limit to lift
+            return handler(args)
+        # argv was read under the caller's limit; exact output has none
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return handler(args)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except (_UsageError, NegativeRow, NotMonic, OrderTooSmall) as exc:
         sys.stderr.write(f"kbonacci: error: {exc}\n")
         raise SystemExit(2) from None

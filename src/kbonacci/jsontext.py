@@ -48,8 +48,8 @@ def _string(text: str) -> str:
 def dumps(obj: object, depth: int = 0) -> str:
     """The text json.dumps(obj, indent=2, sort_keys=True) gives a document
     of dicts with str keys, lists, str, int, bool and None, standing at
-    nesting depth `depth`.  A list of plain ints, or of strs that need no
-    escapes, is joined in one join."""
+    nesting depth `depth`.  A list of plain ints is written with one format,
+    and a list of strs that need no escapes is joined in one join."""
     if obj is None:
         return "null"
     if obj is True:
@@ -69,8 +69,9 @@ def dumps(obj: object, depth: int = 0) -> str:
         items = obj
         kinds = set(map(type, obj))
         if kinds == {int}:
-            parts = map(str, obj)
-        elif kinds == {str} and _plain("".join(obj)):
+            cells = ("%d," + pad) * (len(obj) - 1) + "%d"
+            return ("[" + pad + cells + pad[:-2] + "]") % tuple(obj)
+        if kinds == {str} and _plain("".join(obj)):
             parts = ['"' + ('",' + pad + '"').join(obj) + '"']  # one part, quoted
         else:
             parts = (dumps(value, depth + 1) for value in obj)

@@ -46,7 +46,7 @@ def _grow(seeds: list[list[int]], n: int) -> Iterator[list[int]]:
         raise NegativeRow(f"row {n} is negative")
 
     def step(prev: list[int], _: None) -> list[int]:
-        return [prev[0]] + [2 * a - b for a, b in zip(prev[1:] + [0], prev)]
+        return [prev[0]] + [a + a - b for a, b in zip(prev[1:] + [0], prev)]
 
     later = accumulate(repeat(None), step, initial=seeds[-1])
     return islice(chain(seeds[:-1], later), n + 1)

@@ -18,6 +18,7 @@ from kbonacci.cli import FORMATS, main
 from kbonacci.prover import certify_divisibility
 from kbonacci.sequences import IdentityReport
 from test_prover import matrix_rows
+from test_triangles import coeff_row_from_charpoly, diff_row_from_binomial
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,6 +85,38 @@ class TestTriangle:
             cells = [cell.strip() for cell in line.strip("|").split("|")]
             padded = reference[i] + [0] * (7 - len(reference[i]))
             assert cells == [str(i)] + [str(v) for v in padded]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_every_dump_to_row_40_parses_back_to_the_oracle(self, capsys, kind, fmt):
+        # each width makes its own line formats, so every dump of rows 0..n,
+        # n <= 40, is read back cell by cell against the closed forms
+        if kind == "p":
+            oracle = [coeff_row_from_charpoly(i) for i in range(41)]
+        else:
+            oracle = [[0]] + [diff_row_from_binomial(i) for i in range(1, 41)]
+        for n in range(41):
+            code, out = run_cli(capsys, "triangle", kind, "--rows", str(n), "--format", fmt)
+            assert code == 0
+            expected = oracle[: n + 1]
+            if fmt == "json":
+                assert json.loads(out) == expected, n
+                continue
+            assert out.endswith("\n")
+            lines = out.splitlines()
+            if fmt == "tsv":
+                assert [[int(c) for c in line.split("\t")] for line in lines] == expected, n
+                continue
+            columns = [str(c) for c in range(n + 1)]
+            assert lines[:2] == [
+                "| " + " | ".join(["row/col", *columns]) + " |",
+                "| " + " | ".join(["---"] * (n + 2)) + " |",
+            ], n
+            assert len(lines) == n + 3
+            for i, line in enumerate(lines[2:]):
+                assert line.startswith("| ") and line.endswith(" |"), (n, i)
+                padded = expected[i] + [0] * (n - i)
+                assert line[2:-2].split(" | ") == [str(i), *map(str, padded)], (n, i)
 
     def test_negative_rows_is_usage_error(self):
         # the rows are made lazily, but the bad row is refused before any
@@ -263,6 +296,26 @@ class TestDecimate:
             main(["decimate", "--charpoly", "1,x,-1", "--stride", "2"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_output_past_the_digit_limit(self, capsys, fmt):
+        # X - 3**10000 has a constant term of 4,772 digits, more than the
+        # interpreter's default limit of 4,300; the caller's limit stands
+        limit = sys.get_int_max_str_digits()
+        code, out = run_cli(capsys, "decimate", "--charpoly=1,-3", "--stride", "10000", "--format", fmt)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        if fmt != "json":
+            return
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert doc["decimated_ascending"] == [-(3**10000), 1]
+
     @pytest.mark.parametrize("stride", ["0", "-3"])
     def test_stride_below_one_is_usage_error(self, stride):
         argv = ["decimate", "--charpoly", "1,-1,-1", "--stride", stride]
@@ -371,6 +424,7 @@ class TestJsonStability:
             ["verify", "--k", "3", "--n-from", "-10", "--n-to", "40", "--format", "json"],
             ["decimate", "--charpoly", "1,-2,-1", "--stride", "2", "--format", "json"],
             ["sweep", "--k-min", "2", "--k-max", "4", "--format", "json"],
+            ["triangle", "q", "--rows", "40", "--format", "json"],
         ],
     )
     def test_round_trip_is_byte_identical(self, capsys, argv):
@@ -451,6 +505,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prove", "--k", "1" * 5000],
+            ["decimate", "--charpoly", "1," + "1" * 5000, "--stride", "2"],
+        ],
+    )
+    def test_argv_integers_stay_under_the_digit_limit(self, argv):
+        # only the handler runs with the limit lifted; the command line is
+        # read under the caller's limit, here the default of 4,300 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_argv(argv)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("kbonacci: error: ") and len(err.splitlines()) == 1
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as excinfo:

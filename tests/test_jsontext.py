@@ -26,6 +26,7 @@ class TestJsonWriter:
     @settings(max_examples=400, deadline=None)
     @given(json_documents)
     @example([1, True, 2, None, False])
+    @example({"a": [-(2**70), 0, 2**64], "b": [[7], [-1, 3]]})
     @example({"": [], "b": {}, "a": [[], {}], "\u00e9\U0001f600\x00\x1f\x7f\"\\": "\b\f\n\r\t"})
     def test_matches_json_dumps(self, doc):
         assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
