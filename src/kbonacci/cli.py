@@ -101,33 +101,37 @@ def _cmd_triangle(args: SimpleNamespace) -> int:
     """Write rows 0..n of the p or q triangle as they are made.  Each line is
     made by one % of a line format that holds the framing, the cell
     separators and, in markdown, the row index and the padding zeros.  One
-    format of the n + 1 cells is built per request, and row i takes its
-    prefix with i + 1 cells.  A line format begins by closing the row before
-    it (in markdown with that row's padding zeros), so no text is added
-    after a %."""
+    format of the n + 1 cells is built per request, and row i's format is
+    the slice of it with i + 1 cells.  A line format begins by closing the
+    row before it (in markdown with that row's padding zeros), so no text is
+    added after a %."""
     rows = coeff_rows(args.rows) if args.kind == "p" else diff_rows(args.rows)
     width = args.rows + 1
     write = sys.stdout.write
     if args.format == "json":
         _write_json_rows(map(tuple, rows), depth=0, width=width)
         write("\n")
-    elif args.format == "tsv":
-        line = "%d" + "\t%d" * args.rows
+        return 0
+    sep = _cell_separator(args.format)
+    cell = sep + "%d"
+    if args.format == "tsv":
+        line = "%d" + cell * args.rows
         later = "\n" + line  # the newline that ends the row before
         for row in rows:
-            write(line[: len(line) - 3 * (width - len(row))] % tuple(row))
+            write(line[: len(line) - len(cell) * (width - len(row))] % tuple(row))
             line = later
         write("\n")
-    else:
-        head = "| row/col" + " | %d" * width + " |\n" + "| --- " * (width + 1) + "|\n"
-        write(head % tuple(range(width)))
-        # line i is the zeros and close of row i - 1, then row i: a slice
-        lines = " | 0" * width + " |\n| %d" + " | %d" * width
-        start = 4 * width + 3  # row 0 closes no row before it
-        for i, row in enumerate(rows):
-            write(lines[start : len(lines) - 5 * (width - len(row))] % (i, *row))
-            start = 4 * (i + 1)
-        write(" |\n")
+        return 0
+    zero = sep + "0"
+    head = "| row/col" + cell * width + " |\n" + "| --- " * (width + 1) + "|\n"
+    write(head % tuple(range(width)))
+    # line i is the zeros and close of row i - 1, then row i: a slice
+    lines = zero * width + " |\n| %d" + cell * width
+    start = lines.index("| %d")  # row 0 closes no row before it
+    for i, row in enumerate(rows):
+        write(lines[start : len(lines) - len(cell) * (width - len(row))] % (i, *row))
+        start = len(zero) * (i + 1)
+    write(" |\n")
     return 0
 
 
