@@ -9,6 +9,13 @@ coefficient arrays.  Their text comes from jsontext.dumps, a small writer
 that gives the bytes of json.dumps(obj, indent=2, sort_keys=True), so a
 request does not import json.
 
+Every table (triangle rows, the product matrix, the tsv fields and the
+verdict tables) is written by one writer, _write_table: each line is one %
+of a line format built once per table, from the text of its format that
+_framing gives (the cell separator, what opens and closes a row, and the
+JSON brackets and indents), so JSON rows stream in the bytes jsontext.dumps
+gives them.
+
 Exit codes: 0 when every requested check passed, 1 on a verification
 failure, 2 on usage errors.
 
@@ -29,7 +36,7 @@ from itertools import chain
 from types import SimpleNamespace
 
 from .decimation import decimated_charpoly, recurrence_coefficients
-from .errors import NegativeRow, NotMonic, OrderTooSmall
+from .errors import NegativeRow, OrderTooSmall
 from .intpoly import IntPoly
 from .jsontext import dumps
 from .prover import Certificate, certify_divisibility, identity_coefficients
@@ -39,51 +46,48 @@ from .triangles import coeff_rows, diff_rows
 FORMATS = ("tsv", "markdown", "json")
 
 
-def _cell_separator(fmt: str, depth: int = 0) -> str:
-    """What the row writers put between two cells: a tab, a markdown bar, or
-    a comma and the cell indent of a JSON row at nesting depth `depth`."""
+def _framing(fmt: str, depth: int = 0) -> tuple[str, str, str, str, str, str]:
+    """The text of a table in fmt, standing at JSON nesting depth `depth`:
+    what comes before the first row, what opens a row, the cell separator,
+    what closes a row that another row follows, what closes the last row,
+    and the cell of a markdown header's rule."""
     if fmt == "json":
-        return ",\n" + "  " * (depth + 2)
-    return "\t" if fmt == "tsv" else " | "
-
-
-def _write_rows(
-    fmt: str, rows: Iterable[Iterable[str]], header: Sequence[str] = ()
-) -> None:
-    """Write rows of cells: tab-separated lines for tsv, or a markdown table
-    under header.  Each row is written as soon as it is made."""
-    write = sys.stdout.write
-    sep = _cell_separator(fmt)
+        outer, row, cell = ("\n" + "  " * d for d in (depth, depth + 1, depth + 2))
+        return "[", row + "[" + cell, "," + cell, row + "],", row + "]" + outer + "]", ""
     if fmt == "tsv":
-        for row in rows:
-            write(sep.join(row) + "\n")
-        return
-    write("| " + sep.join(header) + " |\n")
-    write("| " + sep.join("---" for _ in header) + " |\n")
-    for row in rows:
-        write("| " + sep.join(row) + " |\n")
+        return "", "", "\t", "\n", "\n", ""
+    return "", "| ", " | ", " |\n", " |\n", "---"
 
 
-def _write_json_rows(
-    rows: Iterable[tuple], depth: int, width: int, cell: str = "%d"
+def _headed(header: tuple, rows: Iterable[tuple]) -> Iterable[tuple]:
+    """rows under a markdown header and its rule, all ordinary rows."""
+    rule = (_framing("markdown")[5],) * len(header)
+    return chain([header, rule], rows)
+
+
+def _write_table(
+    fmt: str, rows: Iterable[tuple], width: int, depth: int = 0, pad: str = ""
 ) -> None:
-    """Write the bytes jsontext.dumps gives a list of rows standing at nesting
-    depth `depth`, one row at a time and each with one %: a row of m cells,
-    at most `width`, fills the first m cells of a line format whose cells are
-    `cell`, "%d" for ints or "%s" for text already in JSON.  Each line format
-    begins by closing the row before it, so no text is added after a %.  The
-    list and every row must be nonempty."""
-    outer, row_pad = ("\n" + "  " * d for d in (depth, depth + 1))
-    sep = _cell_separator("json", depth)  # "," then the indent of a cell
-    cells = cell + (sep + cell) * (width - 1)
-    line = "[" + row_pad + "[" + sep[1:] + cells
-    later = row_pad + "]," + row_pad + "[" + sep[1:] + cells
-    step = len(sep) + len(cell)
+    """Write rows of cells in fmt, each row as soon as it is made; for json
+    the bytes jsontext.dumps gives the list of rows standing at nesting depth
+    `depth`.  Each line is one % of a line format of `width` cells, built
+    once: a row of m cells takes the prefix with m cells, and each line
+    begins by closing the row before it, with `pad` for each cell that row
+    lacked, so no text is added after a %.  Cells are formatted by %s.  The
+    rows must be nonempty tuples of at most `width` cells."""
+    head, opener, sep, close, end, _ = _framing(fmt, depth)
+    line = pad * width + close + opener + "%s" + (sep + "%s") * (width - 1)
+    step, skip = len(sep) + 2, len(pad)
+    stop = len(line) - step * width
+    begin = skip * width + len(close)  # the first row closes no row
     write = sys.stdout.write
+    write(head)
+    cells = width
     for row in rows:
-        write(line[: len(line) - step * (width - len(row))] % row)
-        line = later
-    write(row_pad + "]" + outer + "]")
+        cells = len(row)
+        write(line[begin : stop + step * cells] % row)
+        begin = skip * cells
+    write(pad * (width - cells) + end)
 
 
 def _identity_text(coefficients: list[int], stride: int) -> str:
@@ -98,40 +102,21 @@ def _identity_text(coefficients: list[int], stride: int) -> str:
 
 
 def _cmd_triangle(args: SimpleNamespace) -> int:
-    """Write rows 0..n of the p or q triangle as they are made.  Each line is
-    made by one % of a line format that holds the framing, the cell
-    separators and, in markdown, the row index and the padding zeros.  One
-    format of the n + 1 cells is built per request, and row i's format is
-    the slice of it with i + 1 cells.  A line format begins by closing the
-    row before it (in markdown with that row's padding zeros), so no text is
-    added after a %."""
+    """Write rows 0..n of the p or q triangle as they are made, each by one
+    % of the table writer.  In markdown the header and its rule are rows of
+    the table, each row's index is its first cell, and the writer pads each
+    row with zero cells to the n + 1 columns."""
     rows = coeff_rows(args.rows) if args.kind == "p" else diff_rows(args.rows)
     width = args.rows + 1
-    write = sys.stdout.write
-    if args.format == "json":
-        _write_json_rows(map(tuple, rows), depth=0, width=width)
-        write("\n")
+    if args.format != "markdown":
+        _write_table(args.format, map(tuple, rows), width)
+        if args.format == "json":
+            sys.stdout.write("\n")
         return 0
-    sep = _cell_separator(args.format)
-    cell = sep + "%d"
-    if args.format == "tsv":
-        line = "%d" + cell * args.rows
-        later = "\n" + line  # the newline that ends the row before
-        for row in rows:
-            write(line[: len(line) - len(cell) * (width - len(row))] % tuple(row))
-            line = later
-        write("\n")
-        return 0
-    zero = sep + "0"
-    head = "| row/col" + cell * width + " |\n" + "| --- " * (width + 1) + "|\n"
-    write(head % tuple(range(width)))
-    # line i is the zeros and close of row i - 1, then row i: a slice
-    lines = zero * width + " |\n| %d" + cell * width
-    start = lines.index("| %d")  # row 0 closes no row before it
-    for i, row in enumerate(rows):
-        write(lines[start : len(lines) - len(cell) * (width - len(row))] % (i, *row))
-        start = len(zero) * (i + 1)
-    write(" |\n")
+    header = ("row/col", *range(width))
+    indexed = ((i, *row) for i, row in enumerate(rows))
+    zero = _framing("markdown")[2] + "0"
+    _write_table("markdown", _headed(header, indexed), width + 1, pad=zero)
     return 0
 
 
@@ -139,17 +124,18 @@ def _cmd_triangle(args: SimpleNamespace) -> int:
 
 
 def _write_matrix(fmt: str, cert: Certificate) -> None:
-    """Write the product matrix of cert in fmt: for json its rows of ints,
-    standing at depth 2; for tsv and markdown the case row, the labelled
-    rows (blank where zero) and the SUM row.
+    """Write the product matrix of cert in fmt through the table writer: for
+    json its rows of ints, standing at depth 2; for tsv and markdown the case
+    row, the labelled rows (blank where zero) and the SUM row.
 
     Row r is r zero cells, the quotient's cells (negated in row k) and zero
     cells to the width k*k + 1.  The quotient is turned into text joined by
-    the writer's cell separator once, so each row reaches the writer whole;
-    for json, where a zero prints as 0, by one % of the joined cells.
+    the writer's cell separator once, so each row reaches the writer as one
+    cell of text (for json, where a zero prints as 0, by one % of the joined
+    cells), after its label in tsv and markdown.
     """
     zero = "0" if fmt == "json" else ""
-    sep = _cell_separator(fmt, depth=2)
+    sep = _framing(fmt, depth=2)[2]
     k, n = cert.k, len(cert.quotient.coeffs)
     width = k * k + 1
     polys = (cert.quotient, -cert.quotient)
@@ -163,22 +149,23 @@ def _write_matrix(fmt: str, cert: Certificate) -> None:
         for r, text in enumerate([body] * k + [negated])
     )
     if fmt == "json":
-        _write_json_rows(((row,) for row in rows), depth=2, width=1, cell="%s")
+        _write_table("json", ((row,) for row in rows), 1, depth=2)
         return
     labels = [f"X^{r}" for r in range(k)] + [f"-X^{k}"]
-    labelled = ([label, row] for label, row in zip(labels, rows))
-    sums = ["SUM", *map(str, cert.column_sums)]
-    cases = ["case", *cert.column_cases]
+    labelled = zip(labels, rows)
+    sums = ("SUM", *cert.column_sums)
+    cases = ("case", *cert.column_cases)
     if fmt == "tsv":
-        _write_rows("tsv", chain([cases], labelled, [sums]))
+        table = chain([cases], labelled, [sums])
     else:
-        columns = ["col"] + [f"X^{c}" for c in range(width)]
-        _write_rows("markdown", chain([columns], labelled, [sums]), cases)
+        columns = ("col", *(f"X^{c}" for c in range(width)))
+        table = _headed(cases, chain([columns], labelled, [sums]))
+    _write_table(fmt, table, width + 1)
 
 
 def _certificate_fields(
     cert: Certificate, cases: dict[str, dict[str, int]]
-) -> list[tuple[str, str]]:
+) -> list[tuple[str, object]]:
     composed = cert.stride_poly.compose_power(cert.k)
     tallies = ", ".join(
         f"{label} {c['passed']}/{c['passed'] + c['failed']}" for label, c in cases.items()
@@ -186,12 +173,12 @@ def _certificate_fields(
     identity = _identity_text(recurrence_coefficients(cert.stride_poly), cert.k)
     verdict = "PASS" if cert.ok else "FAIL"
     return [
-        ("order", str(cert.k)),
-        ("recurrence polynomial", str(cert.base_poly)),
-        ("subsequence polynomial", str(cert.stride_poly)),
-        ("identity polynomial", str(composed)),
-        ("explicit quotient", str(cert.quotient)),
-        ("division remainder", str(cert.remainder)),
+        ("order", cert.k),
+        ("recurrence polynomial", cert.base_poly),
+        ("subsequence polynomial", cert.stride_poly),
+        ("identity polynomial", composed),
+        ("explicit quotient", cert.quotient),
+        ("division remainder", cert.remainder),
         ("division quotient matches", "yes" if cert.division_matches else "NO"),
         ("re-multiplication matches", "yes" if cert.product_matches else "NO"),
         ("matrix column sums verified", "yes" if cert.matrix_verified else "NO"),
@@ -240,7 +227,7 @@ def _cmd_prove(args: SimpleNamespace) -> int:
             _write_matrix("json", cert)
             write(tail + "\n")
     elif args.format == "tsv":
-        _write_rows("tsv", _certificate_fields(cert, cases))
+        _write_table("tsv", _certificate_fields(cert, cases), 2)
         if args.show_matrix:
             _write_matrix("tsv", cert)
     else:
@@ -266,7 +253,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     report = check_identity(rec, coefficients, k, args.n_from, args.n_to)
     tallies = report.residue_tallies(k)
     verdict = "PASS" if report.ok else "FAIL"
-    rows = ([str(r), str(c), str(f)] for r, (c, f) in tallies.items())
+    rows = ((r, c, f) for r, (c, f) in tallies.items())
     if args.format == "json":
         doc = {
             "k": k,
@@ -286,8 +273,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         }
         print(dumps(doc))
     elif args.format == "tsv":
-        total = ["total", str(report.checked), str(len(report.failures))]
-        _write_rows("tsv", chain(rows, [total, ["verdict", verdict, ""]]))
+        total = ("total", report.checked, len(report.failures))
+        _write_table("tsv", chain(rows, [total, ("verdict", verdict, "")]), 3)
     else:
         seeds = ", ".join(str(v) for v in rec.initial)
         source = (
@@ -301,7 +288,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         print(f"- identity: {_identity_text(coefficients, k)}")
         print(f"- range: n in [{args.n_from}, {args.n_to}], {report.checked} indices")
         print()
-        _write_rows("markdown", rows, [f"residue mod {k}", "checked", "failed"])
+        header = (f"residue mod {k}", "checked", "failed")
+        _write_table("markdown", _headed(header, rows), 3)
         print()
         if report.first_counterexample is not None:
             n, actual, predicted = report.first_counterexample
@@ -347,7 +335,7 @@ def _cmd_decimate(args: SimpleNamespace) -> int:
         print(dumps(doc))
     elif args.format == "tsv":
         recurrence = ",".join(map(str, coefficients))
-        _write_rows("tsv", [["decimated", str(decimated)], ["recurrence", recurrence]])
+        _write_table("tsv", [("decimated", decimated), ("recurrence", recurrence)], 2)
     else:
         print(f"- input: {poly} (stride {args.stride})")
         print(f"- decimated characteristic polynomial: {decimated}")
@@ -386,15 +374,14 @@ def _cmd_sweep(args: SimpleNamespace) -> int:
     all_ok = all(row[c] for row in results for c in columns)
     verdict = "PASS" if all_ok else "FAIL"
     rows = (
-        [str(row["k"])] + ["PASS" if row[c] else "FAIL" for c in columns]
-        for row in results
+        (row["k"], *("PASS" if row[c] else "FAIL" for c in columns)) for row in results
     )
     if args.format == "json":
         print(dumps({"results": results, "verdict": verdict}))
     elif args.format == "tsv":
-        _write_rows("tsv", chain(rows, [["verdict", verdict, "", "", ""]]))
+        _write_table("tsv", chain(rows, [("verdict", verdict, "", "", "")]), 5)
     else:
-        _write_rows("markdown", rows, ["k", *columns])
+        _write_table("markdown", _headed(("k", *columns), rows), 5)
         print()
         print(f"verdict: {verdict}")
     return 0 if all_ok else 1
@@ -619,7 +606,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return handler(args)
         finally:
             sys.set_int_max_str_digits(limit)
-    except (_UsageError, NegativeRow, NotMonic, OrderTooSmall) as exc:
+    except (_UsageError, NegativeRow, OrderTooSmall) as exc:
         sys.stderr.write(f"kbonacci: error: {exc}\n")
         raise SystemExit(2) from None
 

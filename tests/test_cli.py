@@ -435,6 +435,67 @@ class TestJsonStability:
         assert rerendered == out
 
 
+def recorded_writes(fn, *args, **kwargs) -> list[str]:
+    """The texts fn(*args, **kwargs) passes to sys.stdout.write, in order."""
+    calls = []
+
+    class RecordingStdout:
+        def write(self, text):
+            calls.append(text)
+
+    with contextlib.redirect_stdout(RecordingStdout()):
+        fn(*args, **kwargs)
+    return calls
+
+
+@st.composite
+def tables(draw) -> tuple[int, list[tuple[int, ...]]]:
+    """A width and rows of 1..width ints, negative and multi-digit."""
+    width = draw(st.integers(1, 8))
+    cell = st.integers(-(10**12), 10**12)
+    row = st.lists(cell, min_size=1, max_size=width).map(tuple)
+    return width, draw(st.lists(row, min_size=1, max_size=8))
+
+
+class TestTableWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(tables(), st.integers(0, 3))
+    def test_json_is_json_dumps_at_depth(self, table, depth):
+        width, rows = table
+        calls = recorded_writes(cli._write_table, "json", rows, width, depth=depth)
+        expected = json.dumps([list(row) for row in rows], indent=2)
+        assert "".join(calls) == expected.replace("\n", "\n" + "  " * depth)
+        # the head, one % per row, and the end
+        assert len(calls) == len(rows) + 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_tsv_is_tab_joined_lines(self, table):
+        width, rows = table
+        calls = recorded_writes(cli._write_table, "tsv", rows, width)
+        assert "".join(calls) == "".join("\t".join(map(str, row)) + "\n" for row in rows)
+        assert len(calls) == len(rows) + 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_markdown_pads_each_row_with_zeros(self, table):
+        width, rows = table
+        calls = recorded_writes(cli._write_table, "markdown", rows, width, pad=" | 0")
+        padded = [list(row) + [0] * (width - len(row)) for row in rows]
+        expected = "".join("| " + " | ".join(map(str, row)) + " |\n" for row in padded)
+        assert "".join(calls) == expected
+        assert len(calls) == len(rows) + 2
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_triangle_writes_one_line_a_row(self, kind, fmt):
+        # rows 0..40, besides at most the head, the end, the newline after
+        # the json list, and the markdown header and rule; a writer that
+        # wrote cell by cell would make up to 41 calls a row
+        calls = recorded_writes(main, ["triangle", kind, "--rows", "40", "--format", fmt])
+        assert 41 <= len(calls) <= 41 + 4
+
+
 def matrix_row_by_row(fmt: str, cert) -> str:
     """What `prove --show-matrix` writes for the product matrix of cert,
     made from its rows of cells one at a time: the reference for the writer
