@@ -7,14 +7,17 @@ matrix cells blank where structurally zero); tsv emits bare data rows;
 json emits stable, sorted-key documents with polynomials as ascending
 coefficient arrays.  Their text comes from jsontext.dumps, a small writer
 that gives the bytes of json.dumps(obj, indent=2, sort_keys=True), so a
-request does not import json.
+request does not import json.  A document is dicts with str keys, lists,
+ints, bools, None and strings of printable ASCII with no quote or
+backslash; dumps raises ValueError for a string that would need an escape
+and TypeError for any other type, and no command writes either.
 
 Every table (triangle rows, the product matrix, the tsv fields and the
 verdict tables) is written by one writer, _write_table: each line is one %
 of a line format built once per table, from the text of its format that
 _framing gives (the cell separator, what opens and closes a row, and the
-JSON brackets and indents), so JSON rows stream in the bytes jsontext.dumps
-gives them.
+JSON brackets, indented by jsontext.newline as dumps indents), so JSON rows
+stream in the bytes jsontext.dumps gives them.
 
 Exit codes: 0 when every requested check passed, 1 on a verification
 failure, 2 on usage errors.
@@ -38,7 +41,7 @@ from types import SimpleNamespace
 from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import NegativeRow, OrderTooSmall
 from .intpoly import IntPoly
-from .jsontext import dumps
+from .jsontext import dumps, newline
 from .prover import Certificate, certify_divisibility, identity_coefficients
 from .sequences import check_identity, kbonacci, random_kbonacci
 from .triangles import coeff_rows, diff_rows
@@ -52,7 +55,7 @@ def _framing(fmt: str, depth: int = 0) -> tuple[str, str, str, str, str, str]:
     what closes a row that another row follows, what closes the last row,
     and the cell of a markdown header's rule."""
     if fmt == "json":
-        outer, row, cell = ("\n" + "  " * d for d in (depth, depth + 1, depth + 2))
+        outer, row, cell = map(newline, (depth, depth + 1, depth + 2))
         return "[", row + "[" + cell, "," + cell, row + "],", row + "]" + outer + "]", ""
     if fmt == "tsv":
         return "", "", "\t", "\n", "\n", ""

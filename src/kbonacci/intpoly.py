@@ -97,9 +97,7 @@ class IntPoly:
     def __neg__(self) -> IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
-    def __mul__(self, other: int | IntPoly) -> IntPoly:
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
+    def __mul__(self, other: IntPoly) -> IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -109,8 +107,6 @@ class IntPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
         """Quotient and remainder by a monic divisor, with

@@ -1,55 +1,37 @@
 r"""JSON text without the json module.
 
 dumps(obj) gives the bytes json.dumps(obj, indent=2, sort_keys=True) gives
-a document made of dicts with str keys, lists, str, int, bool and None.
-Strings are escaped as json's default (ensure_ascii) escapes them: " and
-\ get a backslash; \b \f \n \r \t are written so; other code points below
-0x20, and 0x7f, become \u00XX; every other non-ASCII code point becomes
-\uXXXX, or a surrogate pair \uD8XX\uDCXX above U+FFFF.
+the documents the CLI writes: dicts with str keys, lists, int, bool, None
+and str of printable ASCII without " or \, which need no escapes.  A str
+that would need one raises ValueError, and any other type (a float, a
+tuple, a dict key that is not a str) TypeError, so no input makes the
+writer emit text json.dumps would not.  newline(depth) is the one
+definition of the indentation, for dumps and the CLI's streamed tables.
 """
 
 from __future__ import annotations
 
-_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\b": "\\b",
-    "\f": "\\f",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
+
+def newline(depth: int) -> str:
+    """The line break and indent before a line at nesting depth `depth`."""
+    return "\n" + "  " * depth
 
 
-def _escape(char: str) -> str:
-    """One character of a JSON string, with every non-ASCII code point escaped."""
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    n = ord(char)
-    if 0x20 <= n < 0x7F:
-        return char
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000  # a UTF-16 surrogate pair
-    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-
-
-def _plain(text: str) -> bool:
-    """Whether text stands in a JSON string as it is, with no escapes."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _string(text: str) -> str:
-    if _plain(text):
-        return '"' + text + '"'
-    return '"' + "".join(map(_escape, text)) + '"'
+def _plain(text: str) -> str:
+    """text, a str that stands in a JSON string as it is: TypeError for any
+    other type (a dict key may be one), ValueError for a str that would need
+    an escape."""
+    if not isinstance(text, str):
+        raise TypeError(f"keys must be str, not {type(text).__name__}")
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return text
+    raise ValueError(f"{text!r} would need escapes in a JSON string")
 
 
 def dumps(obj: object, depth: int = 0) -> str:
-    """The text json.dumps(obj, indent=2, sort_keys=True) gives a document
-    of dicts with str keys, lists, str, int, bool and None, standing at
-    nesting depth `depth`.  A list of plain ints is written with one format,
-    and a list of strs that need no escapes is joined in one join."""
+    """The text json.dumps(obj, indent=2, sort_keys=True) gives obj standing
+    at nesting depth `depth`.  A list of ints is written with one format,
+    and a list of strs is joined in one join."""
     if obj is None:
         return "null"
     if obj is True:
@@ -57,22 +39,23 @@ def dumps(obj: object, depth: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return _string(obj)
+        return '"' + _plain(obj) + '"'
     if isinstance(obj, int):
         return int.__repr__(obj)
-    pad = "\n" + "  " * (depth + 1)
+    inner, outer = newline(depth + 1), newline(depth)
     if isinstance(obj, dict):
         items = sorted(obj.items())
-        parts = (_string(key) + ": " + dumps(value, depth + 1) for key, value in items)
+        parts = ('"' + _plain(key) + '": ' + dumps(value, depth + 1) for key, value in items)
         brackets = "{}"
     elif isinstance(obj, list):
         items = obj
         kinds = set(map(type, obj))
         if kinds == {int}:
-            cells = ("%d," + pad) * (len(obj) - 1) + "%d"
-            return ("[" + pad + cells + pad[:-2] + "]") % tuple(obj)
-        if kinds == {str} and _plain("".join(obj)):
-            parts = ['"' + ('",' + pad + '"').join(obj) + '"']  # one part, quoted
+            cells = ("%d," + inner) * (len(obj) - 1) + "%d"
+            return ("[" + inner + cells + outer + "]") % tuple(obj)
+        if kinds == {str}:
+            _plain("".join(obj))  # each str stands as it is when the join does
+            parts = ['"' + ('",' + inner + '"').join(obj) + '"']  # one part, quoted
         else:
             parts = (dumps(value, depth + 1) for value in obj)
         brackets = "[]"
@@ -80,4 +63,4 @@ def dumps(obj: object, depth: int = 0) -> str:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not items:
         return brackets
-    return brackets[0] + pad + ("," + pad).join(parts) + pad[:-2] + brackets[1]
+    return brackets[0] + inner + ("," + inner).join(parts) + outer + brackets[1]

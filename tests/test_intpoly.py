@@ -76,9 +76,6 @@ class TestMul:
         assembled = t * t * t - t * t - t - IntPoly((1,))
         assert assembled == poly(1, -7, 5, -1)
 
-    def test_scalar_multiplication(self):
-        assert 3 * poly(1, -2) == poly(3, -6)
-
 
 class TestNeg:
     def test_negation(self):

@@ -110,7 +110,6 @@ UNREACHED = {
     "kbonacci.intpoly.IntPoly.__sub__": "the same oracles subtract",
     "kbonacci.intpoly.IntPoly.__hash__": "goes with __eq__, so polynomials can be dict keys",
     "kbonacci.intpoly.IntPoly.__repr__": "what a failing assertion prints",
-    "kbonacci.jsontext._escape": "only strings that need escapes reach it; no output has one",
     "kbonacci.prover.stride_charpoly": "the paper's s_k, for a uniform certificate over k",
 }
 
