@@ -169,7 +169,6 @@ def _write_matrix(fmt: str, cert: Certificate) -> None:
 def _certificate_fields(
     cert: Certificate, cases: dict[str, dict[str, int]]
 ) -> list[tuple[str, object]]:
-    composed = cert.stride_poly.compose_power(cert.k)
     tallies = ", ".join(
         f"{label} {c['passed']}/{c['passed'] + c['failed']}" for label, c in cases.items()
     )
@@ -179,7 +178,7 @@ def _certificate_fields(
         ("order", cert.k),
         ("recurrence polynomial", cert.base_poly),
         ("subsequence polynomial", cert.stride_poly),
-        ("identity polynomial", composed),
+        ("identity polynomial", IntPoly(cert.composed)),
         ("explicit quotient", cert.quotient),
         ("division remainder", cert.remainder),
         ("division quotient matches", "yes" if cert.division_matches else "NO"),

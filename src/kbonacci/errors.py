@@ -52,6 +52,3 @@ class NotMonic(ValueError):
 class ZeroPolynomialDegree(ValueError):
     """Degree asked of the zero polynomial, which has none."""
 
-
-class BadCompositionPower(ValueError):
-    """Substitution of X**k for X with k below 1."""

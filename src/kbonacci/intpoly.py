@@ -7,8 +7,11 @@ polynomial is the empty tuple.  Python ints are unbounded, so every
 operation is exact at any magnitude; there is no floating-point or
 fixed-width path anywhere.
 
-Division is classical long division by a monic divisor, so every step is
-exact over the integers; any other nonzero divisor raises NotMonic.
+IntPoly keeps what a request reaches: construction, comparison, degree,
+negation and text.  The certificate divides plain int lists (see
+kbonacci.prover); the sum, product, long division and composition with
+X**k are the tests' reference oracles (tests/polyref.py).  Every IntPoly,
+the zero polynomial too, is true: test .coeffs for zero.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 # every request loads, so annotations resolve without the collections package
 from _collections_abc import Iterable, Iterator
 
-from .errors import BadCompositionPower, NotMonic, ZeroPolynomialDegree
+from .errors import ZeroPolynomialDegree
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -55,9 +58,6 @@ class IntPoly:
         """Build from highest-degree-first coefficients (CLI input order)."""
         return cls(reversed(list(coeffs)))
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     @property
     def degree(self) -> int:
         """Degree of a nonzero polynomial; the zero polynomial has none."""
@@ -78,77 +78,8 @@ class IntPoly:
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
 
-    def __add__(self, other: IntPoly) -> IntPoly:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other: IntPoly) -> IntPoly:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __neg__(self) -> IntPoly:
         return IntPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other: IntPoly) -> IntPoly:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(out)
-
-    def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
-        """Quotient and remainder by a monic divisor, with
-        deg(remainder) < deg(divisor).
-
-        A zero divisor raises ZeroDivisionError and any other non-monic one
-        NotMonic.  Each step's quotient coefficient is the running head, and
-        the step subtracts only the divisor's nonzero lower terms, so a
-        sparse divisor such as a trinomial costs O(terms) per step, not
-        O(degree).
-        """
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not other.is_monic:
-            raise NotMonic(f"divisor {other} is not monic")
-        den = other.coeffs
-        dd = len(den) - 1
-        num = list(self.coeffs)
-        terms = [(i, d) for i, d in enumerate(den[:-1]) if d]
-        quot = [0] * (len(num) - dd)
-        for shift in range(len(num) - dd - 1, -1, -1):
-            head = num[shift + dd]
-            if head == 0:
-                continue
-            quot[shift] = head
-            for i, d in terms:
-                num[shift + i] -= head * d
-        return IntPoly(quot), IntPoly(num[:dd])
-
-    def __floordiv__(self, other: IntPoly) -> IntPoly:
-        return divmod(self, other)[0]
-
-    def compose_power(self, k: int) -> IntPoly:
-        """Substitute X**k for X: coefficient of X**i moves to X**(i*k)."""
-        if k < 1:
-            raise BadCompositionPower("composition power must be >= 1")
-        out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return IntPoly(out)
 
     def __str__(self) -> str:
         """Descending powers with explicit signs, e.g. 'X^4-3X^2+1'."""

@@ -13,9 +13,10 @@ with the quotient written down explicitly, in integer coefficients, from
 triangle entries.  This module certifies that fact three independent
 ways:
 
-* long division of (X-1) times the composed polynomial by the trinomial
-  (X-1) * base = X**(k+1) - 2*X**k + 1, which must return the explicit
-  quotient and leave remainder 0,
+* division of (X-1) times the composed polynomial by the trinomial
+  (X-1) * base = X**(k+1) - 2*X**k + 1, read from the base polynomial's
+  coefficients, as a three-term recurrence on plain int lists: it must
+  return the explicit quotient and leave remainder 0,
 * the product (-base) * quotient, whose coefficient at X**c is the
   window sum q[c] + ... + q[c-k+1] - q[c-k] of the quotient's
   coefficients, slid along the quotient once; it must reproduce the
@@ -45,7 +46,7 @@ builds it once.
 from __future__ import annotations
 
 from _collections_abc import Iterable
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import neg, sub
 
 from .errors import EmptyCoefficients, OrderTooSmall
@@ -213,23 +214,56 @@ def failed_columns(
     return {label: tuple(found) for label, found in failed.items()}
 
 
+def trinomial_divmod(
+    numerator: list[int], trinomial: list[int]
+) -> tuple[list[int], list[int]]:
+    """Quotient and remainder, as ascending coefficients, of numerator by the
+    monic trinomial X**d + a*X**(d-1) + c given as ascending coefficients,
+    of which only a and c are read; numerator has degree d or more.
+
+    The coefficient at X**(p+d) of quotient * trinomial is
+    q[p] + a*q[p+1] + c*q[p+d], so the quotient comes top-down in one loop,
+    q[p] = n[p+d] - a*q[p+1] - c*q[p+d], and the remainder from the d
+    lowest coefficients of the numerator; the numerator is not changed.
+    """
+    d = len(trinomial) - 1
+    a, c = trinomial[d - 1], trinomial[0]
+    # q from the top down, after d zeros standing for q[p] past the top;
+    # the iterator over the list reads q[p+d], d places behind the append
+    quotient = [0] * d
+    append = quotient.append
+    step = 0
+    heads = islice(reversed(numerator), len(numerator) - d)  # n[top] .. n[d]
+    for head, far in zip(heads, quotient):
+        step = head - a * step - c * far
+        append(step)
+    quotient.reverse()
+    remainder = [n - c * q for n, q in zip(numerator[:d], quotient)]
+    remainder[d - 1] -= a * quotient[0]
+    del quotient[-d:]
+    return quotient, remainder
+
+
 class Certificate:
     """Everything checked while certifying one order k.
 
-    division_matches: long division of stride_charpoly(X**k) by the base
-    polynomial (through the trinomial (X-1) * base) left remainder 0 and
-    returned the explicit quotient.  product_matches: column_sums, the
-    window sums of the quotient and so the coefficients of
-    (-base) * quotient, equal -stride_charpoly(X**k).  column_cases holds
-    each column's case label and failed_columns, per label, the columns
-    whose closed form, sum and target differ; matrix_verified: there are
-    none.  Double-entry on purpose: a bug in either the product or the
-    division cannot slip through both.
+    composed holds the ascending coefficients of stride_charpoly(X**k).
+    division_matches: (X-1) * base is a trinomial X**d + a*X**(d-1) + c,
+    and dividing (X-1) * composed by it, as the three-term recurrence of
+    trinomial_divmod, left remainder 0 and returned the explicit quotient;
+    remainder is the remainder by base, that division's remainder divided
+    by X-1.  product_matches: column_sums, the window sums of the quotient
+    and so the coefficients of (-base) * quotient, equal -composed.
+    column_cases holds each column's case label and failed_columns, per
+    label, the columns whose closed form, sum and target differ;
+    matrix_verified: there are none.  Double-entry on purpose: a bug in
+    either the product or the division cannot slip through both.
     """
 
     __slots__ = (
         "k",
         "stride_poly",
+        "composed",
         "quotient",
         "remainder",
         "division_matches",
@@ -243,6 +277,7 @@ class Certificate:
         self,
         k: int,
         stride_poly: IntPoly,
+        composed: list[int],
         quotient: IntPoly,
         remainder: IntPoly,
         division_matches: bool,
@@ -253,6 +288,7 @@ class Certificate:
     ):
         self.k = k
         self.stride_poly = stride_poly
+        self.composed = composed
         self.quotient = quotient
         self.remainder = remainder
         self.division_matches = division_matches
@@ -279,30 +315,43 @@ def certify_divisibility(k: int) -> Certificate:
     the result, not raised.  The triangle is built once, as
     list(coeff_rows(k)), and every later step reads from that table.
 
-    Long division goes through the trinomial (X-1) * base =
-    X**(k+1) - 2*X**k + 1: dividing (X-1) * composed by it gives the same
-    quotient as dividing composed by base and (X-1) times the remainder,
-    which X-1 then divides exactly.  Each step of the long division
-    touches three divisor terms instead of k+1.
+    Division goes through the trinomial (X-1) * base, taken from the base
+    polynomial's coefficients: dividing (X-1) * composed by it gives the
+    same quotient as dividing composed by base, and (X-1) times the
+    remainder, which X-1 then divides exactly in one running sum, since
+    both vanish at X = 1.  Each step of the division reads three
+    coefficients, and every polynomial of degree k**2 is a plain list.
     """
-    base = base_charpoly(k)
+    base = base_charpoly(k).coeffs
+    trinomial = list(map(sub, (0, *base), (*base, 0)))  # (X-1) * base
     rows = list(coeff_rows(k))
     stride = identity_charpoly(rows[k][1:])
-    composed = stride.compose_power(k)
-    x_minus_one = IntPoly((-1, 1))
-    division_quotient, scaled_remainder = divmod(
-        composed * x_minus_one, base * x_minus_one
-    )
+    width = (len(stride.coeffs) - 1) * k + 1
+    composed = [0] * width
+    composed[::k] = stride.coeffs
+    # (X-1) * composed = X * composed - composed: the two never share an
+    # exponent, since k >= 2
+    numerator = [0] * (width + 1)
+    numerator[1::k] = stride.coeffs
+    numerator[::k] = map(neg, stride.coeffs)
+    division_quotient, scaled_remainder = trinomial_divmod(numerator, trinomial)
+    del numerator  # k*k + 2 entries that no later step reads
     quotient = quotient_poly(rows)
     sums = column_sums(quotient, k)
     cases, expected = case_analysis(rows)
-    target = tuple(map(neg, composed.coeffs))
+    target = [0] * width
+    target[::k] = map(neg, stride.coeffs)
+    target = tuple(target)
     return Certificate(
         k=k,
         stride_poly=stride,
+        composed=composed,
         quotient=quotient,
-        remainder=scaled_remainder // x_minus_one,
-        division_matches=not scaled_remainder and division_quotient == quotient,
+        # -(r[0] + ... + r[i]) at X**i: the scaled remainder over X-1
+        remainder=IntPoly(map(neg, accumulate(scaled_remainder[:-1]))),
+        division_matches=not any(trinomial[1:-2])
+        and not any(scaled_remainder)
+        and tuple(division_quotient) == quotient.coeffs,
         product_matches=sums == target,
         column_cases=cases,
         column_sums=sums,

@@ -33,6 +33,7 @@ from kbonacci.sequences import (
     random_kbonacci,
 )
 from kbonacci.triangles import coeff_rows, diff_rows
+from polyref import RefPoly
 from test_prover import coeff_entry, diff_entry, matrix_rows, negated_target
 
 DATA = Path(__file__).parent / "data"
@@ -127,9 +128,9 @@ def test_criterion_02_order_five_quotient():
 def test_criterion_03_symbolic_certification():
     with criterion(3, "symbolic certification, orders 2..25", 30.0):
         for k in range(2, 26):
-            base = base_charpoly(k)
+            base = RefPoly(base_charpoly(k))
             quotient = quotient_poly(list(coeff_rows(k)))
-            composed = stride_charpoly(k).compose_power(k)
+            composed = RefPoly(stride_charpoly(k)).compose_power(k)
             assert (-base) * quotient == -composed, k
             assert divmod(composed, base) == (quotient, IntPoly()), k
 
@@ -138,7 +139,7 @@ def test_criterion_04_matrix_verification():
     with criterion(4, "product-matrix verification, orders 2..12", 10.0):
         for k in range(2, 13):
             sums = column_sums(quotient_poly(list(coeff_rows(k))), k)
-            target = -(stride_charpoly(k).compose_power(k))
+            target = -(RefPoly(stride_charpoly(k)).compose_power(k))
             assert list(sums) == [
                 target.coeff(c) for c in range(k * k + 1)
             ], k

@@ -205,6 +205,7 @@ class TestProve:
         broken = type(cert)(
             k=cert.k,
             stride_poly=cert.stride_poly,
+            composed=cert.composed,
             quotient=cert.quotient,
             remainder=cert.remainder,
             division_matches=False,

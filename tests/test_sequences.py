@@ -28,6 +28,7 @@ from kbonacci.sequences import (
     kbonacci,
     random_kbonacci,
 )
+from polyref import RefPoly
 
 
 class TestKbonacci:
@@ -588,7 +589,7 @@ def dense_extend(values, weights, stop):
 
 def _x_power_mod(e, modulus):
     """X**e mod a monic polynomial, by square-and-multiply (1 for e = 0)."""
-    result, square = IntPoly((1,)), IntPoly((0, 1))
+    result, square = RefPoly((1,)), RefPoly((0, 1))
     while e:
         if e & 1:
             result = divmod(result * square, modulus)[1]

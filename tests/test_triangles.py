@@ -5,6 +5,7 @@ import pytest
 from kbonacci.errors import NegativeRow
 from kbonacci.intpoly import IntPoly
 from kbonacci.triangles import coeff_rows, diff_rows
+from polyref import RefPoly
 from test_prover import coeff_entry, diff_entry
 
 # First seven rows of both triangles, fixed reference values.
@@ -37,7 +38,7 @@ def coeff_row_from_charpoly(k: int) -> list[int]:
     polynomial evaluated at 2 - Y: (2-Y)**k - sum_{i<k} (2-Y)**i has
     coefficient -C[k][i] at Y**i for 1 <= i <= k."""
     two_minus_y = IntPoly((2, -1))
-    powers = [IntPoly((1,))]
+    powers = [RefPoly((1,))]
     for _ in range(k):
         powers.append(powers[-1] * two_minus_y)
     shifted = powers[k]
@@ -49,7 +50,7 @@ def coeff_row_from_charpoly(k: int) -> list[int]:
 def diff_row_from_binomial(n: int) -> list[int]:
     """Row n >= 1 of the difference triangle as the coefficients of
     X*(2-X)**(n-1)."""
-    poly = IntPoly((0, 1))
+    poly = RefPoly((0, 1))
     for _ in range(n - 1):
         poly = poly * IntPoly((2, -1))
     return [poly.coeff(j) for j in range(n + 1)]
