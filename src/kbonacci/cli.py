@@ -139,14 +139,14 @@ def _write_matrix(fmt: str, cert: Certificate) -> None:
     """
     zero = "0" if fmt == "json" else ""
     sep = _framing(fmt, depth=2)[2]
-    k, n = cert.k, len(cert.quotient.coeffs)
-    width = k * k + 1
-    polys = (cert.quotient, -cert.quotient)
+    k, quotient = cert.k, cert.quotient.coeffs
+    n, width = len(quotient), k * k + 1
+    signed = (quotient, tuple(-v for v in quotient))
     if fmt == "json":
         cells = sep.join(["%d"] * n)
-        body, negated = (cells % poly.coeffs for poly in polys)
+        body, negated = (cells % q for q in signed)
     else:
-        body, negated = (sep.join([str(v) if v else zero for v in poly]) for poly in polys)
+        body, negated = (sep.join([str(v) if v else zero for v in q]) for q in signed)
     rows = (
         (zero + sep) * r + text + (sep + zero) * (width - r - n)
         for r, text in enumerate([body] * k + [negated])
@@ -173,12 +173,15 @@ def _certificate_fields(
         f"{label} {c['passed']}/{c['passed'] + c['failed']}" for label, c in cases.items()
     )
     identity = _identity_text(recurrence_coefficients(cert.stride_poly), cert.k)
+    # stride_poly(X**k): the coefficient of X**i moves to X**(k*i)
+    composed = [0] * ((len(cert.stride_poly.coeffs) - 1) * cert.k + 1)
+    composed[:: cert.k] = cert.stride_poly.coeffs
     verdict = "PASS" if cert.ok else "FAIL"
     return [
         ("order", cert.k),
         ("recurrence polynomial", cert.base_poly),
         ("subsequence polynomial", cert.stride_poly),
-        ("identity polynomial", IntPoly(cert.composed)),
+        ("identity polynomial", IntPoly(composed)),
         ("explicit quotient", cert.quotient),
         ("division remainder", cert.remainder),
         ("division quotient matches", "yes" if cert.division_matches else "NO"),

@@ -7,10 +7,10 @@ polynomial is the empty tuple.  Python ints are unbounded, so every
 operation is exact at any magnitude; there is no floating-point or
 fixed-width path anywhere.
 
-IntPoly keeps what a request reaches: construction, comparison, degree,
-negation and text.  The certificate divides plain int lists (see
-kbonacci.prover); the sum, product, long division and composition with
-X**k are the tests' reference oracles (tests/polyref.py).  Every IntPoly,
+IntPoly keeps what a request reaches: construction, comparison, degree
+and text.  The certificate divides plain int lists (see kbonacci.prover);
+the sum, negation, product, long division and composition with X**k are
+the tests' reference oracles (tests/polyref.py).  Every IntPoly,
 the zero polynomial too, is true: test .coeffs for zero.
 """
 
@@ -77,9 +77,6 @@ class IntPoly:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
 
     def __str__(self) -> str:
         """Descending powers with explicit signs, e.g. 'X^4-3X^2+1'."""

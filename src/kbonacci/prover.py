@@ -7,7 +7,7 @@ for a sequence exactly when the identity's characteristic polynomial is
 divisible by the characteristic polynomial of the recurrence generating
 it, so the whole proof reduces to one polynomial fact:
 
-    stride_charpoly(k)(X**k) == base_charpoly(k) * quotient_poly(list(coeff_rows(k)))
+    stride_charpoly(k)(X**k) == base_charpoly(k) * quotient_poly(columns)
 
 with the quotient written down explicitly, in integer coefficients, from
 triangle entries.  This module certifies that fact three independent
@@ -27,7 +27,8 @@ ways:
 
 The matrix columns fall into five families A-E, each with its own
 closed-form column sum (a triangle recursion step, a telescoping
-difference, a power-of-two identity, or a four-group cancellation).
+difference, a power-of-two identity, or four groups that cancel down to
+one recursion step less the entry it makes).
 Writing a column as c = j*k + m with 0 <= m < k, the families come in
 runs inside each block j, so case_analysis walks the blocks once and
 gives every column its label and the sum its family's closed form
@@ -38,15 +39,17 @@ Certificate holds the result of all three routes.  Every step costs
 O(k**2) time and memory: no matrix cell is kept, and the CLI makes a row
 only when it prints it.
 
-Functions that read triangle entries take the table rows =
-list(coeff_rows(k)) and work out k as len(rows) - 1, so each certificate
-builds it once.
+Functions that read triangle entries take the column table
+columns = list(zip_longest(*coeff_rows(k), fillvalue=0)), in which
+columns[j][i] = C[i][j] and every entry right of the diagonal reads 0, as
+the triangle's definition has it; they work out k as len(columns) - 1, so
+each certificate builds the table once.
 """
 
 from __future__ import annotations
 
 from _collections_abc import Iterable
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from operator import neg, sub
 
 from .errors import EmptyCoefficients, OrderTooSmall
@@ -98,25 +101,24 @@ def stride_charpoly(k: int) -> IntPoly:
     return identity_charpoly(identity_coefficients(k))
 
 
-def quotient_poly(rows: list[list[int]]) -> IntPoly:
+def quotient_poly(columns: list[tuple[int, ...]]) -> IntPoly:
     """The explicit quotient stride_charpoly(k)(X**k) / base_charpoly(k),
-    read from rows = list(coeff_rows(k)).
+    read from the column table columns[j][i] = C[i][j] of certify_divisibility.
 
     Degree k*(k-1).  Assembled directly from triangle entries: a leading
     X**(k*(k-1)) plus, for each block j in 0..k-2, a coefficient-triangle
     term at X**(k*j) and difference-triangle terms just above it.  Block j
-    comes from one column slice, C[col..k-1][col] with col = k-1-j, and its
-    successive differences.  Its integrality in Z[X] is the crux of the
-    certificate.
+    comes from one column slice, C[k-1..col-1][col] with col = k-1-j, and its
+    successive differences D[k-1][col] .. D[col][col]; the slice's last
+    entry lies right of the diagonal and reads 0.  Its integrality in Z[X]
+    is the crux of the certificate.
     """
-    k = len(rows) - 1
+    k = len(columns) - 1
     _require_order(k)
     coeffs: list[int] = []
     for col in range(k - 1, 0, -1):
-        column = [row[col] for row in rows[k - 1 : col - 1 : -1]]  # C[k-1..col][col]
-        # D[k-1][col] down to D[col][col]; C[col-1][col] lies right of the diagonal
-        diffs = map(sub, column, column[1:] + [0])
-        coeffs += [-column[0], *diffs] + [0] * (col - 1)
+        column = columns[col][col - 1 : k][::-1]  # C[k-1..col-1][col]
+        coeffs += [-column[0], *map(sub, column, column[1:])] + [0] * (col - 1)
     coeffs.append(1)
     return IntPoly(coeffs)
 
@@ -137,54 +139,42 @@ def column_sums(quotient: IntPoly, k: int) -> tuple[int, ...]:
     return tuple(map(sub, window, leaving))
 
 
-def _e_sums(rows: list[list[int]], j: int) -> list[int]:
-    """Closed-form sums of the E columns m = 1..j of block j, read from
-    rows = list(coeff_rows(k)).
-
-    Each is the sum of four groups that cancel: the lone coefficient-
-    triangle term -C[k-1][k-1-j] descending from the block's multiple-of-k
-    column; the negated difference entry -D[k-m][k-j] descending from the
-    previous block; the row-0 difference entries of this block, telescoped
-    to C[k-1][k-j-1] - C[k-m-1][k-j-1]; and the difference entries
-    descending from the previous block's row 0, telescoped to C[k-m-1][k-j].
-    """
-    k = len(rows) - 1
-    col = k - j
-    head = rows[k - 1][col - 1]
-    # m = 1..j-1, with upper = row k-m and below = row k-m-1
-    sums = [
-        -head - (upper[col] - below[col]) + (head - below[col - 1]) + below[col]
-        for upper, below in zip(rows[k - 1 : col : -1], rows[k - 2 : col - 1 : -1])
-    ]
-    # m = j: C[k-j-1][k-j] lies right of the diagonal, so the last group is
-    # empty and the difference entry is the diagonal entry C[k-j][k-j]
-    sums.append(-head - rows[col][col] + (head - rows[col - 1][col - 1]))
-    return sums
-
-
-def case_analysis(rows: list[list[int]]) -> tuple[str, tuple[int, ...]]:
+def case_analysis(columns: list[tuple[int, ...]]) -> tuple[str, tuple[int, ...]]:
     """The case label A-E of every product-matrix column, and its sum as the
     case argument predicts it, not by adding the column; entries are read
-    from rows = list(coeff_rows(k)), one block of k columns at a time.
+    from the column table columns[j][i] = C[i][j] of certify_divisibility,
+    one block of k columns at a time.
 
     Writing c = j*k + m with 0 <= m < k: block 0 is A at column 0, then B;
     block j (1 <= j <= k-2) is C at its multiple of k, E for 1 <= m <= j,
     then B; the last block (j = k-1) is all D, and column k*k is A again.
     Total and mutually exclusive.
     """
-    k = len(rows) - 1
+    k = len(columns) - 1
     _require_order(k)
-    last = rows[k - 1]
     # A: column 0 holds only the quotient's constant term, C[k][k].  B: the
     # head term -C[k-1][k-1-j] and the difference column below it, which
     # telescopes to C[k-1][k-1-j], cancel exactly
     cases = ["A" + "B" * (k - 1)]
-    sums = [rows[k][k]] + [0] * (k - 1)
+    sums = [columns[k][k]] + [0] * (k - 1)
     for j in range(1, k - 1):
+        col = k - j
+        here, left = columns[col], columns[col - 1]
         cases.append("C" + "E" * j + "B" * (k - 1 - j))
-        # C: one triangle recursion step, equal to C[k][k-j]
-        sums.append(2 * last[k - j] - last[k - j - 1])
-        sums += _e_sums(rows, j)
+        # C: one triangle recursion step, equal to C[k][col]
+        sums.append(2 * here[k - 1] - left[k - 1])
+        # E, m = 1..j, with i = k-m-1: four groups cancel, the lone term
+        # -C[k-1][col-1], the difference entry -D[k-m][col] from the previous
+        # block, this block's row-0 differences C[k-1][col-1] - C[i][col-1]
+        # and the previous block's C[i][col].  Together they are one recursion
+        # step less the entry it makes, 2*C[i][col] - C[i][col-1] - C[i+1][col];
+        # at m = j, C[col-1][col] lies right of the diagonal and reads 0
+        steps = zip(
+            here[k - 2 : col - 2 : -1],  # C[i][col] for i = k-2 .. col-1
+            left[k - 2 : col - 2 : -1],  # C[i][col-1]
+            here[k - 1 : col - 1 : -1],  # C[i+1][col]
+        )
+        sums += [2 * entry - beside - made for entry, beside, made in steps]
         sums += [0] * (k - 1 - j)  # the block's B run
     # D: geometric sums of powers of two, 1 + 2*(2**(k-1) - 1) in the
     # block's first column and 1 + (2**(k-1-m) - 1) - 2**(k-1-m) after it.
@@ -247,9 +237,10 @@ def trinomial_divmod(
 class Certificate:
     """Everything checked while certifying one order k.
 
-    composed holds the ascending coefficients of stride_charpoly(X**k).
-    division_matches: (X-1) * base is a trinomial X**d + a*X**(d-1) + c,
-    and dividing (X-1) * composed by it, as the three-term recurrence of
+    The composed polynomial stride_charpoly(k)(X**k) is not kept: its
+    coefficients are stride_poly's, k places apart.  division_matches:
+    (X-1) * base is a trinomial X**d + a*X**(d-1) + c, and dividing
+    (X-1) * composed by it, as the three-term recurrence of
     trinomial_divmod, left remainder 0 and returned the explicit quotient;
     remainder is the remainder by base, that division's remainder divided
     by X-1.  product_matches: column_sums, the window sums of the quotient
@@ -263,7 +254,6 @@ class Certificate:
     __slots__ = (
         "k",
         "stride_poly",
-        "composed",
         "quotient",
         "remainder",
         "division_matches",
@@ -277,7 +267,6 @@ class Certificate:
         self,
         k: int,
         stride_poly: IntPoly,
-        composed: list[int],
         quotient: IntPoly,
         remainder: IntPoly,
         division_matches: bool,
@@ -288,7 +277,6 @@ class Certificate:
     ):
         self.k = k
         self.stride_poly = stride_poly
-        self.composed = composed
         self.quotient = quotient
         self.remainder = remainder
         self.division_matches = division_matches
@@ -312,8 +300,10 @@ class Certificate:
 
 def certify_divisibility(k: int) -> Certificate:
     """Run the full certificate for one order; failures are recorded in
-    the result, not raised.  The triangle is built once, as
-    list(coeff_rows(k)), and every later step reads from that table.
+    the result, not raised.  The triangle is built once, as the column
+    table columns = list(zip_longest(*coeff_rows(k), fillvalue=0)), so
+    columns[j][i] = C[i][j] and every entry right of the diagonal reads 0,
+    and every later step reads from that table.
 
     Division goes through the trinomial (X-1) * base, taken from the base
     polynomial's coefficients: dividing (X-1) * composed by it gives the
@@ -324,11 +314,9 @@ def certify_divisibility(k: int) -> Certificate:
     """
     base = base_charpoly(k).coeffs
     trinomial = list(map(sub, (0, *base), (*base, 0)))  # (X-1) * base
-    rows = list(coeff_rows(k))
-    stride = identity_charpoly(rows[k][1:])
+    columns = list(zip_longest(*coeff_rows(k), fillvalue=0))
+    stride = identity_charpoly(column[k] for column in columns[1:])
     width = (len(stride.coeffs) - 1) * k + 1
-    composed = [0] * width
-    composed[::k] = stride.coeffs
     # (X-1) * composed = X * composed - composed: the two never share an
     # exponent, since k >= 2
     numerator = [0] * (width + 1)
@@ -336,16 +324,15 @@ def certify_divisibility(k: int) -> Certificate:
     numerator[::k] = map(neg, stride.coeffs)
     division_quotient, scaled_remainder = trinomial_divmod(numerator, trinomial)
     del numerator  # k*k + 2 entries that no later step reads
-    quotient = quotient_poly(rows)
+    quotient = quotient_poly(columns)
     sums = column_sums(quotient, k)
-    cases, expected = case_analysis(rows)
+    cases, expected = case_analysis(columns)
     target = [0] * width
     target[::k] = map(neg, stride.coeffs)
     target = tuple(target)
     return Certificate(
         k=k,
         stride_poly=stride,
-        composed=composed,
         quotient=quotient,
         # -(r[0] + ... + r[i]) at X**i: the scaled remainder over X-1
         remainder=IntPoly(map(neg, accumulate(scaled_remainder[:-1]))),

@@ -18,9 +18,10 @@ the explicit quotient polynomial used by the divisibility certificate in
 `prover`.
 
 Both triangles are made by one row generator that keeps only the previous
-row.  A certificate reads whole rows and column slices of C, so it makes
-the table once, as list(coeff_rows(k)); the CLI writes rows as they come,
-and the identity coefficients need only the last row.  From row 2 on D
+row.  A certificate reads column slices of C, so it makes the table once,
+as its columns list(zip_longest(*coeff_rows(k), fillvalue=0)), in which
+every entry right of the diagonal reads 0; the CLI writes rows as they
+come, and the identity coefficients need only the last row.  From row 2 on D
 obeys C's recursion too, so diff_rows makes it from its own two seed rows
 without a row of C.
 

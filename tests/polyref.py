@@ -38,7 +38,7 @@ class RefPoly(IntPoly):
     def __sub__(self, other: IntPoly) -> RefPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return self + (-other)
+        return self + RefPoly(-c for c in other.coeffs)
 
     def __neg__(self) -> RefPoly:
         return RefPoly(-c for c in self.coeffs)

@@ -34,7 +34,7 @@ from kbonacci.sequences import (
 )
 from kbonacci.triangles import coeff_rows, diff_rows
 from polyref import RefPoly
-from test_prover import coeff_entry, diff_entry, matrix_rows, negated_target
+from test_prover import column_table, coeff_entry, diff_entry, matrix_rows, negated_target
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,14 +122,14 @@ def test_criterion_02_order_five_quotient():
         expected = [0] * 21
         for exponent, value in QUOTIENT_5_TERMS.items():
             expected[exponent] = value
-        assert quotient_poly(list(coeff_rows(5))) == IntPoly(expected)
+        assert quotient_poly(column_table(coeff_rows(5))) == IntPoly(expected)
 
 
 def test_criterion_03_symbolic_certification():
     with criterion(3, "symbolic certification, orders 2..25", 30.0):
         for k in range(2, 26):
             base = RefPoly(base_charpoly(k))
-            quotient = quotient_poly(list(coeff_rows(k)))
+            quotient = quotient_poly(column_table(coeff_rows(k)))
             composed = RefPoly(stride_charpoly(k)).compose_power(k)
             assert (-base) * quotient == -composed, k
             assert divmod(composed, base) == (quotient, IntPoly()), k
@@ -138,24 +138,24 @@ def test_criterion_03_symbolic_certification():
 def test_criterion_04_matrix_verification():
     with criterion(4, "product-matrix verification, orders 2..12", 10.0):
         for k in range(2, 13):
-            sums = column_sums(quotient_poly(list(coeff_rows(k))), k)
+            sums = column_sums(quotient_poly(column_table(coeff_rows(k))), k)
             target = -(RefPoly(stride_charpoly(k)).compose_power(k))
             assert list(sums) == [
                 target.coeff(c) for c in range(k * k + 1)
             ], k
-        rows5 = list(coeff_rows(5))
-        quotient5 = quotient_poly(rows5)
+        columns5 = column_table(coeff_rows(5))
+        quotient5 = quotient_poly(columns5)
         assert [list(row) for row in matrix_rows(quotient5, 5)] == MATRIX_5
         assert list(column_sums(quotient5, 5)) == MATRIX_5_SUMS
-        assert case_analysis(rows5)[0] == CASES_5
+        assert case_analysis(columns5)[0] == CASES_5
 
 
 def test_criterion_05_case_proof_checker():
     with criterion(5, "closed-form case checks, orders 2..12", 10.0):
         for k in range(2, 13):
-            rows = list(coeff_rows(k))
-            cases, expected = case_analysis(rows)
-            sums = column_sums(quotient_poly(rows), k)
+            columns = column_table(coeff_rows(k))
+            cases, expected = case_analysis(columns)
+            sums = column_sums(quotient_poly(columns), k)
             failed = failed_columns(cases, expected, sums, negated_target(k))
             assert failed == {label: () for label in CASE_LABELS}, (k, failed)
             assert len(cases) == len(expected) == k * k + 1

@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 import kbonacci
 from kbonacci import cli
 from kbonacci.cli import FORMATS, main
-from kbonacci.prover import certify_divisibility
+from kbonacci.prover import certify_divisibility, stride_charpoly
 from kbonacci.sequences import IdentityReport
+from polyref import RefPoly
 from test_prover import matrix_rows
 from test_triangles import coeff_row_from_charpoly, diff_row_from_binomial
 
@@ -194,6 +195,17 @@ class TestProve:
         assert doc["quotient_ascending"] == [1, -1, 0, -3, 2, 1, 1]
         assert doc["remainder_ascending"] == []
 
+    @pytest.mark.parametrize("fmt", ["markdown", "tsv"])
+    def test_identity_polynomial_is_the_composed_stride_polynomial(self, capsys, fmt):
+        # the field is made from the stride polynomial's k + 1 coefficients
+        # when it is printed; the goldens pin it at k = 5 and 12 only
+        label = {"markdown": "- identity polynomial: ", "tsv": "identity polynomial\t"}[fmt]
+        for k in range(2, 31):
+            code, out = run_cli(capsys, "prove", "--k", str(k), "--format", fmt)
+            assert code == 0
+            composed = RefPoly(stride_charpoly(k)).compose_power(k)
+            assert label + str(composed) in out.splitlines(), k
+
     def test_large_order(self, capsys):
         code, out = run_cli(capsys, "prove", "--k", "25")
         assert code == 0
@@ -205,7 +217,6 @@ class TestProve:
         broken = type(cert)(
             k=cert.k,
             stride_poly=cert.stride_poly,
-            composed=cert.composed,
             quotient=cert.quotient,
             remainder=cert.remainder,
             division_matches=False,

@@ -83,18 +83,6 @@ class TestMul:
         assert assembled == poly(1, -7, 5, -1)
 
 
-class TestNeg:
-    def test_negation(self):
-        assert -poly(1, -3, 1) == poly(-1, 3, -1)
-
-    def test_negate_zero(self):
-        assert -IntPoly() == IntPoly()
-
-    def test_involution(self):
-        p = poly(5, 0, -2, 9)
-        assert -(-p) == p
-
-
 class TestDivmod:
     def test_exact_division(self):
         # (X^4 - 3X^2 + 1) / (X^2 - X - 1) = X^2 + X - 1 exactly

@@ -3,6 +3,8 @@
 import json
 import re
 import tracemalloc
+from collections.abc import Iterable
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +35,12 @@ QUOTIENT_5 = IntPoly(
 )
 
 
+def column_table(rows: Iterable[list[int]]) -> list[tuple[int, ...]]:
+    """The triangle rows as quotient_poly and case_analysis read them:
+    columns[j][i] = C[i][j], with 0 right of the diagonal."""
+    return list(zip_longest(*rows, fillvalue=0))
+
+
 def coeff_entry(rows: list[list[int]], i: int, j: int) -> int:
     """C[i][j] read from rows = list(coeff_rows(n)), n >= i, with 0 outside
     0 <= j <= i (the per-column sums below rely on vanishing boundary
@@ -57,9 +65,9 @@ def matrix_rows(quotient: IntPoly, k: int) -> tuple[tuple[int, ...], ...]:
     quotient shifted right by r, negated in row k, and k*k + 1 cells wide.
     The reference for the CLI's matrix writer."""
     rows = []
+    negated = tuple(-c for c in quotient.coeffs)
     for r in range(k + 1):
-        poly = -quotient if r == k else quotient
-        cells = (0,) * r + poly.coeffs
+        cells = (0,) * r + (negated if r == k else quotient.coeffs)
         rows.append(cells + (0,) * (k * k + 1 - len(cells)))
     return tuple(rows)
 
@@ -76,7 +84,7 @@ def failed_columns_by_walk(
     """The columns whose closed form, column sum and target are not all
     equal, compared one column at a time: the oracle of the whole-list
     comparison in failed_columns."""
-    columns = zip(case_analysis(rows)[1], sums, target)
+    columns = zip(case_analysis(column_table(rows))[1], sums, target)
     return [c for c, (e, a, w) in enumerate(columns) if not e == a == w]
 
 
@@ -88,7 +96,7 @@ def all_failed(failed: dict[str, tuple[int, ...]]) -> list[int]:
 def matrix_sums(rows: list[list[int]]) -> tuple[int, ...]:
     """The column sums of the product matrix of the quotient read from
     rows = list(coeff_rows(k))."""
-    return column_sums(quotient_poly(rows), len(rows) - 1)
+    return column_sums(quotient_poly(column_table(rows)), len(rows) - 1)
 
 
 def quotient_by_entry(rows: list[list[int]]) -> IntPoly:
@@ -196,31 +204,31 @@ class TestPolynomials:
         assert str(stride_charpoly(k)) == text
 
     def test_quotient_poly_order_two(self):
-        assert quotient_poly(list(coeff_rows(2))) == IntPoly((-1, 1, 1))  # X^2 + X - 1
+        assert quotient_poly(column_table(coeff_rows(2))) == IntPoly((-1, 1, 1))  # X^2 + X - 1
 
     def test_quotient_poly_order_three(self):
         # brute-force long division is the oracle for the assembled quotient
         composed = RefPoly(stride_charpoly(3)).compose_power(3)
         division_quotient, remainder = divmod(composed, base_charpoly(3))
         assert not remainder
-        assert quotient_poly(list(coeff_rows(3))) == division_quotient
-        assert str(quotient_poly(list(coeff_rows(3)))) == "X^6+X^5+2X^4-3X^3-X+1"
+        assert quotient_poly(column_table(coeff_rows(3))) == division_quotient
+        assert str(quotient_poly(column_table(coeff_rows(3)))) == "X^6+X^5+2X^4-3X^3-X+1"
 
     def test_quotient_poly_order_five(self):
-        assert quotient_poly(list(coeff_rows(5))) == QUOTIENT_5
+        assert quotient_poly(column_table(coeff_rows(5))) == QUOTIENT_5
 
     def test_block_quotient_matches_entry_oracle(self):
         for k in range(2, 81):
             rows = list(coeff_rows(k))
-            assert quotient_poly(rows) == quotient_by_entry(rows), k
+            assert quotient_poly(column_table(rows)) == quotient_by_entry(rows), k
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_order_too_small(self, k):
         def quotient(k):
-            return quotient_poly(list(coeff_rows(k)))
+            return quotient_poly(column_table(coeff_rows(k)))
 
         def cases(k):
-            return case_analysis(list(coeff_rows(k)))
+            return case_analysis(column_table(coeff_rows(k)))
 
         for fn in (base_charpoly, stride_charpoly, quotient, identity_coefficients, cases):
             with pytest.raises(OrderTooSmall):
@@ -292,13 +300,13 @@ class TestClassification:
 
     def test_block_case_row_matches_column_oracle(self):
         for k in range(2, 81):
-            cases = case_analysis(list(coeff_rows(k)))[0]
+            cases = case_analysis(column_table(coeff_rows(k)))[0]
             assert cases == "".join(classify_column(k, c) for c in range(k * k + 1)), k
 
 
 class TestMatrix:
     def test_order_two_matrix(self):
-        quotient = quotient_poly(list(coeff_rows(2)))
+        quotient = quotient_poly(column_table(coeff_rows(2)))
         assert matrix_rows(quotient, 2) == (
             (-1, 1, 1, 0, 0),
             (0, -1, 1, 1, 0),
@@ -307,7 +315,7 @@ class TestMatrix:
         assert column_sums(quotient, 2) == (-1, 0, 3, 0, -1)
 
     def test_order_five_first_row(self):
-        assert matrix_rows(quotient_poly(list(coeff_rows(5))), 5)[0][:15] == (
+        assert matrix_rows(quotient_poly(column_table(coeff_rows(5))), 5)[0][:15] == (
             1, -1, 0, 0, 0, -7, 6, 1, 0, 0, 17, -12, -4, -1, 0,
         )
 
@@ -401,7 +409,7 @@ class TestSymbolicMatrix:
     def test_labels_resolve_to_numeric_matrix(self):
         for k in range(2, 9):
             rows = list(coeff_rows(k))
-            numeric = matrix_rows(quotient_poly(rows), k)
+            numeric = matrix_rows(quotient_poly(column_table(rows)), k)
             cells = symbolic_matrix(k)
             assert len(numeric) == len(cells) == k + 1
             for r in range(k + 1):
@@ -431,7 +439,7 @@ class TestCaseSums:
     def test_no_failures_up_to_order_twelve(self):
         for k in range(2, 13):
             rows = list(coeff_rows(k))
-            cases, expected = case_analysis(rows)
+            cases, expected = case_analysis(column_table(rows))
             failed = failed_columns(cases, expected, matrix_sums(rows), negated_target(k))
             assert failed == {label: () for label in CASE_LABELS}, (k, failed)
             assert len(cases) == len(expected) == k * k + 1
@@ -440,20 +448,22 @@ class TestCaseSums:
         for k in range(2, 61):
             rows = list(coeff_rows(k))
             expected = tuple(expected_column_sum(rows, c) for c in range(k * k + 1))
-            assert case_analysis(rows)[1] == expected, k
+            assert case_analysis(column_table(rows))[1] == expected, k
 
     @pytest.mark.parametrize("k", [5, 8, 12])
     def test_perturbed_entry_fails_the_columns_that_read_it(self, k):
-        # the column sums and composed come from the true triangle, so only
+        # the column sums and target come from the true triangle, so only
         # the closed forms see the perturbed entry: a failure shows that the
-        # case side reads the triangle and does not restate the column sums
+        # case side reads the triangle and does not restate the column sums.
+        # j runs to the diagonal: the E column m = j of each block reads
+        # C[i][i] next to the 0 right of it
         rows = list(coeff_rows(k))
         sums = matrix_sums(rows)
         target = negated_target(k)
         width = k * k + 1
         families = set()
         for i in range(2, k):
-            for j in range(1, i):
+            for j in range(1, i + 1):
                 perturbed = [list(row) for row in rows]
                 perturbed[i][j] += 1
                 moved = [
@@ -461,7 +471,8 @@ class TestCaseSums:
                     for c in range(width)
                     if expected_column_sum(perturbed, c) != expected_column_sum(rows, c)
                 ]
-                cases, expected = case_analysis(perturbed)
+                assert moved, (i, j)
+                cases, expected = case_analysis(column_table(perturbed))
                 failed = failed_columns(cases, expected, sums, target)
                 assert all_failed(failed) == moved, (i, j)
                 assert list(failed) == list(CASE_LABELS)
@@ -477,7 +488,7 @@ class TestCaseSums:
         # the whole-list comparison must still name exactly the column whose
         # actual sum or target moved, in that column's family
         rows = list(coeff_rows(k))
-        cases, expected = case_analysis(rows)
+        cases, expected = case_analysis(column_table(rows))
         for c in range(k * k + 1):
             sums, target = list(matrix_sums(rows)), list(negated_target(k))
             (sums if side == "column sum" else target)[c] += 1
@@ -493,7 +504,7 @@ class TestCaseSums:
         # a short target would leave columns unnamed when the comparison
         # fails, a long one would carry coefficients past the last column
         rows = list(coeff_rows(5))
-        cases, expected = case_analysis(rows)
+        cases, expected = case_analysis(column_table(rows))
         with pytest.raises(ValueError, match="argument 3 is"):
             failed_columns(cases, expected, matrix_sums(rows), target)
 
@@ -526,9 +537,9 @@ class TestCertificate:
     def test_builds_case_row_once(self, k, monkeypatch):
         calls = []
 
-        def counting_case_analysis(rows):
-            calls.append(len(rows) - 1)
-            return case_analysis(rows)
+        def counting_case_analysis(columns):
+            calls.append(len(columns) - 1)
+            return case_analysis(columns)
 
         monkeypatch.setattr(prover, "case_analysis", counting_case_analysis)
         assert certify_divisibility(k).ok
@@ -541,7 +552,7 @@ class TestCertificate:
     def test_product_and_division_both_directions(self):
         for k in range(2, 13):
             base = RefPoly(base_charpoly(k))
-            quotient = quotient_poly(list(coeff_rows(k)))
+            quotient = quotient_poly(column_table(coeff_rows(k)))
             composed = RefPoly(stride_charpoly(k)).compose_power(k)
             assert (-base) * quotient == -composed
             assert divmod(composed, base) == (quotient, IntPoly())
@@ -552,9 +563,10 @@ def dense_matrix(quotient: IntPoly, k: int):
     its column sums added up column by column."""
     width = k * k + 1
     cells = []
-    for r, poly in [(r, quotient) for r in range(k)] + [(k, -quotient)]:
+    negated = tuple(-c for c in quotient.coeffs)
+    for r, coeffs in [(r, quotient.coeffs) for r in range(k)] + [(k, negated)]:
         row = [0] * width
-        for e, c in enumerate(poly):
+        for e, c in enumerate(coeffs):
             row[e + r] = c
         cells.append(tuple(row))
     return tuple(cells), tuple(sum(col) for col in zip(*cells))
@@ -564,7 +576,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("k", range(2, 61))
     def test_matches_dense_matrix_and_product(self, k):
         cert = certify_divisibility(k)
-        quotient = quotient_poly(list(coeff_rows(k)))
+        quotient = quotient_poly(column_table(coeff_rows(k)))
         dense_rows, dense_sums = dense_matrix(quotient, k)
         assert matrix_rows(cert.quotient, k) == dense_rows
         assert cert.column_sums == dense_sums
@@ -575,14 +587,14 @@ class TestDenseOracle:
     @pytest.mark.parametrize("k", [2, 5, 12])
     @pytest.mark.parametrize("where", ["low", "middle", "lead"])
     def test_perturbed_quotient_fails_every_route(self, k, where, monkeypatch):
-        def perturbed(rows):
-            q = list(quotient_poly(rows).coeffs)
+        def perturbed(columns):
+            q = list(quotient_poly(columns).coeffs)
             q[{"low": 0, "middle": len(q) // 2, "lead": -1}[where]] += 1
             return IntPoly(q)
 
         monkeypatch.setattr(prover, "quotient_poly", perturbed)
         cert = certify_divisibility(k)
-        assert cert.quotient == perturbed(list(coeff_rows(k)))
+        assert cert.quotient == perturbed(column_table(coeff_rows(k)))
         failed = all_failed(cert.failed_columns)
         rows = list(coeff_rows(k))
         assert failed == failed_columns_by_walk(rows, cert.column_sums, negated_target(k))
