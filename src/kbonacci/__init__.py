@@ -9,9 +9,10 @@ closed-form arguments), numeric (big-integer identity checks on concrete
 sequences, including negative indices), and independent (decimation by
 power sums and Newton's identities, which never touches the triangles).
 
-The package root exports nothing; every name lives in a submodule:
+A polynomial is a plain tuple of ints, its coefficients in ascending
+exponent order with the nonzero leading one last; the zero polynomial is
+().  The package root exports nothing; every name lives in a submodule:
 
-* kbonacci.intpoly: IntPoly, dense integer polynomials;
 * kbonacci.triangles: the coefficient and difference triangles;
 * kbonacci.prover: the divisibility certificate and its product matrix;
 * kbonacci.sequences: recurrences, windows and numeric identity checks;

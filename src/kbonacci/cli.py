@@ -40,7 +40,6 @@ from types import SimpleNamespace
 
 from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import NegativeRow, OrderTooSmall
-from .intpoly import IntPoly
 from .jsontext import dumps, newline
 from .prover import Certificate, certify_divisibility, identity_coefficients
 from .sequences import check_identity, kbonacci, random_kbonacci
@@ -93,6 +92,26 @@ def _write_table(
     write(pad * (width - cells) + end)
 
 
+def _poly_text(coeffs: Sequence[int]) -> str:
+    """A polynomial's ascending coefficients in descending powers with
+    explicit signs, e.g. 'X^4-3X^2+1'; the zero polynomial () is '0'."""
+    parts: list[str] = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        if e == 0:
+            term = str(mag)
+        else:
+            term = "X" if e == 1 else f"X^{e}"
+            if mag != 1:
+                term = f"{mag}{term}"
+        parts.append(sign + term)
+    return "".join(parts) or "0"
+
+
 def _identity_text(coefficients: list[int], stride: int) -> str:
     terms = " ".join(
         f"{'-' if c < 0 else '+'} {abs(c)}*F(n-{stride * i})"
@@ -139,7 +158,7 @@ def _write_matrix(fmt: str, cert: Certificate) -> None:
     """
     zero = "0" if fmt == "json" else ""
     sep = _framing(fmt, depth=2)[2]
-    k, quotient = cert.k, cert.quotient.coeffs
+    k, quotient = cert.k, cert.quotient
     n, width = len(quotient), k * k + 1
     signed = (quotient, tuple(-v for v in quotient))
     if fmt == "json":
@@ -174,16 +193,16 @@ def _certificate_fields(
     )
     identity = _identity_text(recurrence_coefficients(cert.stride_poly), cert.k)
     # stride_poly(X**k): the coefficient of X**i moves to X**(k*i)
-    composed = [0] * ((len(cert.stride_poly.coeffs) - 1) * cert.k + 1)
-    composed[:: cert.k] = cert.stride_poly.coeffs
+    composed = [0] * ((len(cert.stride_poly) - 1) * cert.k + 1)
+    composed[:: cert.k] = cert.stride_poly
     verdict = "PASS" if cert.ok else "FAIL"
     return [
         ("order", cert.k),
-        ("recurrence polynomial", cert.base_poly),
-        ("subsequence polynomial", cert.stride_poly),
-        ("identity polynomial", IntPoly(composed)),
-        ("explicit quotient", cert.quotient),
-        ("division remainder", cert.remainder),
+        ("recurrence polynomial", _poly_text(cert.base_poly)),
+        ("subsequence polynomial", _poly_text(cert.stride_poly)),
+        ("identity polynomial", _poly_text(composed)),
+        ("explicit quotient", _poly_text(cert.quotient)),
+        ("division remainder", _poly_text(cert.remainder)),
         ("division quotient matches", "yes" if cert.division_matches else "NO"),
         ("re-multiplication matches", "yes" if cert.product_matches else "NO"),
         ("matrix column sums verified", "yes" if cert.matrix_verified else "NO"),
@@ -306,22 +325,19 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 # --- decimate ---------------------------------------------------------------
 
 
-def _parse_charpoly(text: str) -> IntPoly:
+def _parse_charpoly(text: str) -> tuple[int, ...]:
     """The value of --charpoly: a monic polynomial of degree >= 1 from its
-    comma-separated descending coefficients."""
+    comma-separated descending coefficients, as ascending coefficients."""
     try:
         descending = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"--charpoly must be comma-separated integers: {exc}")
-    poly = IntPoly.from_descending(descending)
-    if not poly.is_monic or poly.degree < 1:
+    if len(descending) < 2 or descending[0] != 1:
         raise _UsageError(
             "--charpoly must be monic of degree >= 1 "
             "(descending coefficients starting with 1)"
         )
-    if len(descending) != poly.degree + 1:
-        raise _UsageError("--charpoly must start with the leading coefficient 1")
-    return poly
+    return tuple(reversed(descending))
 
 
 def _cmd_decimate(args: SimpleNamespace) -> int:
@@ -340,10 +356,11 @@ def _cmd_decimate(args: SimpleNamespace) -> int:
         print(dumps(doc))
     elif args.format == "tsv":
         recurrence = ",".join(map(str, coefficients))
-        _write_table("tsv", [("decimated", decimated), ("recurrence", recurrence)], 2)
+        rows = [("decimated", _poly_text(decimated)), ("recurrence", recurrence)]
+        _write_table("tsv", rows, 2)
     else:
-        print(f"- input: {poly} (stride {args.stride})")
-        print(f"- decimated characteristic polynomial: {decimated}")
+        print(f"- input: {_poly_text(poly)} (stride {args.stride})")
+        print(f"- decimated characteristic polynomial: {_poly_text(decimated)}")
         print(
             "- recurrence coefficients: "
             + ", ".join(str(c) for c in coefficients)

@@ -16,6 +16,9 @@ the k-step family a step costs O(1) big-int operations (P_{m+1} = 2 P_m -
 P_{m-k}), O(k^2) in all for p_k at stride k; P_m has about m bits, so
 that is O(k^4) bit operations.  A dense p costs O(n^2 s) operations.
 
+A polynomial is a tuple of ints in ascending exponent order, normalized,
+so its last entry is the leading coefficient.
+
 This route never touches the coefficient triangles, which makes it an
 independent oracle for the stride identities, and it works for any monic
 integer recurrence (Pell, Jacobsthal, ...), not just the all-ones family.
@@ -26,19 +29,18 @@ from __future__ import annotations
 from operator import mul
 
 from .errors import BadStride, InexactNewtonStep, NotMonic
-from .intpoly import IntPoly
 from .sequences import LinearRecurrence
 
 
-def recurrence_coefficients(charpoly: IntPoly) -> list[int]:
-    """[c_1..c_n] such that charpoly == X**n - sum c_i X**(n-i)."""
-    if not charpoly.is_monic or charpoly.degree < 1:
+def recurrence_coefficients(charpoly: tuple[int, ...]) -> list[int]:
+    """[c_1..c_n] such that charpoly == X**n - sum c_i X**(n-i).  A tuple
+    that does not end in 1, a trailing zero included, is refused."""
+    if len(charpoly) < 2 or charpoly[-1] != 1:
         raise NotMonic("need a monic polynomial of degree >= 1")
-    n = charpoly.degree
-    return [-charpoly.coeff(n - i) for i in range(1, n + 1)]
+    return [-c for c in charpoly[-2::-1]]
 
 
-def decimated_charpoly(charpoly: IntPoly, stride: int) -> IntPoly:
+def decimated_charpoly(charpoly: tuple[int, ...], stride: int) -> tuple[int, ...]:
     """Characteristic polynomial of the stride-s subsequence of any
     sequence whose charpoly is the given monic polynomial.
 
@@ -68,4 +70,4 @@ def decimated_charpoly(charpoly: IntPoly, stride: int) -> IntPoly:
                 f"inexact Newton step m={m}: {head} is not divisible by {m}"
             )
         d.append(step)
-    return IntPoly([-v for v in reversed(d)] + [1])
+    return (*(-v for v in reversed(d)), 1)

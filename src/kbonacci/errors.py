@@ -47,8 +47,3 @@ class BadModulus(ValueError):
 
 class NotMonic(ValueError):
     """Operation requires a monic polynomial (leading coefficient 1)."""
-
-
-class ZeroPolynomialDegree(ValueError):
-    """Degree asked of the zero polynomial, which has none."""
-

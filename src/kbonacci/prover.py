@@ -10,8 +10,10 @@ it, so the whole proof reduces to one polynomial fact:
     stride_charpoly(k)(X**k) == base_charpoly(k) * quotient_poly(columns)
 
 with the quotient written down explicitly, in integer coefficients, from
-triangle entries.  This module certifies that fact three independent
-ways:
+triangle entries.  A polynomial is a tuple of ints in ascending exponent
+order, normalized: its last entry is the leading coefficient, nonzero,
+and the zero polynomial is ().  This module certifies that fact three
+independent ways:
 
 * division of (X-1) times the composed polynomial by the trinomial
   (X-1) * base = X**(k+1) - 2*X**k + 1, read from the base polynomial's
@@ -53,7 +55,6 @@ from itertools import accumulate, islice, zip_longest
 from operator import neg, sub
 
 from .errors import EmptyCoefficients, OrderTooSmall
-from .intpoly import IntPoly
 from .triangles import coeff_rows
 
 CASE_LABELS = ("A", "B", "C", "D", "E")
@@ -64,10 +65,10 @@ def _require_order(k: int) -> None:
         raise OrderTooSmall(f"order {k} is below 2")
 
 
-def base_charpoly(k: int) -> IntPoly:
+def base_charpoly(k: int) -> tuple[int, ...]:
     """X**k - X**(k-1) - ... - X - 1, the charpoly of the k-step recurrence."""
     _require_order(k)
-    return IntPoly([-1] * k + [1])
+    return (-1,) * k + (1,)
 
 
 def identity_coefficients(k: int) -> list[int]:
@@ -79,20 +80,15 @@ def identity_coefficients(k: int) -> list[int]:
     return row[1:]
 
 
-def identity_charpoly(coefficients: Iterable[int]) -> IntPoly:
+def identity_charpoly(coefficients: Iterable[int]) -> tuple[int, ...]:
     """Characteristic polynomial X**n - sum c_i X**(n-i) of an identity."""
     coefficients = list(coefficients)
     if not coefficients:
         raise EmptyCoefficients("an identity needs at least one coefficient")
-    n = len(coefficients)
-    asc = [0] * (n + 1)
-    asc[n] = 1
-    for i, c in enumerate(coefficients, start=1):
-        asc[n - i] = -c
-    return IntPoly(asc)
+    return (*(-c for c in reversed(coefficients)), 1)
 
 
-def stride_charpoly(k: int) -> IntPoly:
+def stride_charpoly(k: int) -> tuple[int, ...]:
     """Charpoly of the stride-k subsequence, built from triangle row k.
 
     Composing with X**k turns it into the charpoly of the full stride-k
@@ -101,7 +97,7 @@ def stride_charpoly(k: int) -> IntPoly:
     return identity_charpoly(identity_coefficients(k))
 
 
-def quotient_poly(columns: list[tuple[int, ...]]) -> IntPoly:
+def quotient_poly(columns: list[tuple[int, ...]]) -> tuple[int, ...]:
     """The explicit quotient stride_charpoly(k)(X**k) / base_charpoly(k),
     read from the column table columns[j][i] = C[i][j] of certify_divisibility.
 
@@ -120,10 +116,10 @@ def quotient_poly(columns: list[tuple[int, ...]]) -> IntPoly:
         column = columns[col][col - 1 : k][::-1]  # C[k-1..col-1][col]
         coeffs += [-column[0], *map(sub, column, column[1:])] + [0] * (col - 1)
     coeffs.append(1)
-    return IntPoly(coeffs)
+    return tuple(coeffs)
 
 
-def column_sums(quotient: IntPoly, k: int) -> tuple[int, ...]:
+def column_sums(quotient: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Column sums of the product matrix of (-base_charpoly(k)) * quotient.
 
     Row r (0 <= r <= k-1) of the matrix holds the ascending coefficients of
@@ -133,7 +129,7 @@ def column_sums(quotient: IntPoly, k: int) -> tuple[int, ...]:
     along q, O(k**2) in all.
     """
     width = k * k + 1
-    q = quotient.coeffs + (0,) * (width - len(quotient.coeffs))
+    q = quotient + (0,) * (width - len(quotient))
     leaving = (0,) * k + q[: width - k]  # q[c-k], which leaves the window at c
     window = accumulate(map(sub, q, leaving))  # q[c-k+1] + ... + q[c]
     return tuple(map(sub, window, leaving))
@@ -237,14 +233,16 @@ def trinomial_divmod(
 class Certificate:
     """Everything checked while certifying one order k.
 
-    The composed polynomial stride_charpoly(k)(X**k) is not kept: its
-    coefficients are stride_poly's, k places apart.  division_matches:
-    (X-1) * base is a trinomial X**d + a*X**(d-1) + c, and dividing
-    (X-1) * composed by it, as the three-term recurrence of
-    trinomial_divmod, left remainder 0 and returned the explicit quotient;
-    remainder is the remainder by base, that division's remainder divided
-    by X-1.  product_matches: column_sums, the window sums of the quotient
-    and so the coefficients of (-base) * quotient, equal -composed.
+    stride_poly, quotient, remainder and base_poly are normalized tuples
+    of ascending coefficients, as every polynomial here is.  The composed
+    polynomial stride_charpoly(k)(X**k) is not kept: its coefficients are
+    stride_poly's, k places apart.  division_matches: (X-1) * base is a
+    trinomial X**d + a*X**(d-1) + c, and dividing (X-1) * composed by it,
+    as the three-term recurrence of trinomial_divmod, left remainder 0 and
+    returned the explicit quotient; remainder is the remainder by base,
+    that division's remainder divided by X-1, so () when it passes.
+    product_matches: column_sums, the window sums of the quotient and so
+    the coefficients of (-base) * quotient, equal -composed.
     column_cases holds each column's case label and failed_columns, per
     label, the columns whose closed form, sum and target differ;
     matrix_verified: there are none.  Double-entry on purpose: a bug in
@@ -266,9 +264,9 @@ class Certificate:
     def __init__(
         self,
         k: int,
-        stride_poly: IntPoly,
-        quotient: IntPoly,
-        remainder: IntPoly,
+        stride_poly: tuple[int, ...],
+        quotient: tuple[int, ...],
+        remainder: tuple[int, ...],
         division_matches: bool,
         product_matches: bool,
         column_cases: str,
@@ -286,7 +284,7 @@ class Certificate:
         self.failed_columns = failed_columns
 
     @property
-    def base_poly(self) -> IntPoly:
+    def base_poly(self) -> tuple[int, ...]:
         return base_charpoly(self.k)
 
     @property
@@ -311,34 +309,40 @@ def certify_divisibility(k: int) -> Certificate:
     remainder, which X-1 then divides exactly in one running sum, since
     both vanish at X = 1.  Each step of the division reads three
     coefficients, and every polynomial of degree k**2 is a plain list.
+    The remainder is the one result that can end in zeros; it is trimmed
+    before the certificate holds it.
     """
-    base = base_charpoly(k).coeffs
+    base = base_charpoly(k)
     trinomial = list(map(sub, (0, *base), (*base, 0)))  # (X-1) * base
     columns = list(zip_longest(*coeff_rows(k), fillvalue=0))
     stride = identity_charpoly(column[k] for column in columns[1:])
-    width = (len(stride.coeffs) - 1) * k + 1
+    width = (len(stride) - 1) * k + 1
     # (X-1) * composed = X * composed - composed: the two never share an
     # exponent, since k >= 2
     numerator = [0] * (width + 1)
-    numerator[1::k] = stride.coeffs
-    numerator[::k] = map(neg, stride.coeffs)
+    numerator[1::k] = stride
+    numerator[::k] = map(neg, stride)
     division_quotient, scaled_remainder = trinomial_divmod(numerator, trinomial)
     del numerator  # k*k + 2 entries that no later step reads
+    # -(r[0] + ... + r[i]) at X**i: the scaled remainder over X-1, less the
+    # zeros at its top, as a normalized polynomial ends
+    remainder = list(map(neg, accumulate(scaled_remainder[:-1])))
+    while remainder and not remainder[-1]:
+        remainder.pop()
     quotient = quotient_poly(columns)
     sums = column_sums(quotient, k)
     cases, expected = case_analysis(columns)
     target = [0] * width
-    target[::k] = map(neg, stride.coeffs)
+    target[::k] = map(neg, stride)
     target = tuple(target)
     return Certificate(
         k=k,
         stride_poly=stride,
         quotient=quotient,
-        # -(r[0] + ... + r[i]) at X**i: the scaled remainder over X-1
-        remainder=IntPoly(map(neg, accumulate(scaled_remainder[:-1]))),
+        remainder=tuple(remainder),
         division_matches=not any(trinomial[1:-2])
         and not any(scaled_remainder)
-        and tuple(division_quotient) == quotient.coeffs,
+        and tuple(division_quotient) == quotient,
         product_matches=sums == target,
         column_cases=cases,
         column_sums=sums,

@@ -1,31 +1,53 @@
 """Reference polynomial arithmetic for the tests.
 
-RefPoly is an IntPoly with the sum, difference, product, long division and
-composition with X**k that no request needs: the certificate divides plain
-int lists, so these left kbonacci.intpoly and are kept here as oracles.  A
-sum, difference, negation, product, quotient or composition whose left
-operand is a RefPoly is a RefPoly, so the oracles chain them freely.
-dense_divmod is the schoolbook division they are checked against.
+The library's polynomials are plain tuples of ints in ascending exponent
+order, normalized: the last entry, the leading coefficient, is nonzero and
+the zero polynomial is ().  RefPoly holds such a tuple as .coeffs, trimming
+what it is given, with the sum, difference, product, long division and
+composition with X**k that no request needs; the oracles are built as
+RefPoly(result).  A sum, difference, negation, product, quotient or
+composition whose left operand is a RefPoly is a RefPoly, so the oracles
+chain them freely.  dense_divmod is the schoolbook division they are
+checked against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
+from kbonacci.cli import _poly_text
 from kbonacci.errors import NotMonic
-from kbonacci.intpoly import IntPoly
 
 
 class BadCompositionPower(ValueError):
     """Substitution of X**k for X with k below 1."""
 
 
-class RefPoly(IntPoly):
-    __slots__ = ()
+class RefPoly:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[int] = ()):
+        out = list(coeffs)
+        while out and out[-1] == 0:
+            out.pop()
+        self.coeffs = tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RefPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"RefPoly({self.coeffs!r})"
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other: IntPoly) -> RefPoly:
-        if not isinstance(other, IntPoly):
+    def __add__(self, other: RefPoly) -> RefPoly:
+        if not isinstance(other, RefPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -35,16 +57,16 @@ class RefPoly(IntPoly):
             out[i] += c
         return RefPoly(out)
 
-    def __sub__(self, other: IntPoly) -> RefPoly:
-        if not isinstance(other, IntPoly):
+    def __sub__(self, other: RefPoly) -> RefPoly:
+        if not isinstance(other, RefPoly):
             return NotImplemented
         return self + RefPoly(-c for c in other.coeffs)
 
     def __neg__(self) -> RefPoly:
         return RefPoly(-c for c in self.coeffs)
 
-    def __mul__(self, other: IntPoly) -> RefPoly:
-        if not isinstance(other, IntPoly):
+    def __mul__(self, other: RefPoly) -> RefPoly:
+        if not isinstance(other, RefPoly):
             return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -54,7 +76,7 @@ class RefPoly(IntPoly):
                 out[i + j] += a * b
         return RefPoly(out)
 
-    def __divmod__(self, other: IntPoly) -> tuple[RefPoly, RefPoly]:
+    def __divmod__(self, other: RefPoly) -> tuple[RefPoly, RefPoly]:
         """Quotient and remainder by a monic divisor, with
         deg(remainder) < deg(divisor).
 
@@ -64,13 +86,13 @@ class RefPoly(IntPoly):
         sparse divisor such as a trinomial costs O(terms) per step, not
         O(degree).
         """
-        if not isinstance(other, IntPoly):
+        if not isinstance(other, RefPoly):
             return NotImplemented
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not other.is_monic:
-            raise NotMonic(f"divisor {other} is not monic")
         den = other.coeffs
+        if not den:
+            raise ZeroDivisionError("polynomial division by zero")
+        if den[-1] != 1:
+            raise NotMonic(f"divisor {_poly_text(den)} is not monic")
         dd = len(den) - 1
         num = list(self.coeffs)
         terms = [(i, d) for i, d in enumerate(den[:-1]) if d]
@@ -84,7 +106,7 @@ class RefPoly(IntPoly):
                 num[shift + i] -= head * d
         return RefPoly(quot), RefPoly(num[:dd])
 
-    def __floordiv__(self, other: IntPoly) -> RefPoly:
+    def __floordiv__(self, other: RefPoly) -> RefPoly:
         return divmod(self, other)[0]
 
     def compose_power(self, k: int) -> RefPoly:
@@ -97,7 +119,7 @@ class RefPoly(IntPoly):
         return RefPoly(out)
 
 
-def dense_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
+def dense_divmod(num: RefPoly, den: RefPoly) -> tuple[RefPoly, RefPoly]:
     """Schoolbook long division by a monic divisor, subtracting every
     divisor coefficient, zeros and the leading 1 included, at every step."""
     rest, den = list(num.coeffs), list(den.coeffs)
@@ -108,4 +130,4 @@ def dense_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
         quot[shift] = step
         for i in range(dd + 1):
             rest[shift + i] -= step * den[i]
-    return IntPoly(quot), IntPoly(rest)
+    return RefPoly(quot), RefPoly(rest)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import kbonacci
 from kbonacci import cli
-from kbonacci.cli import FORMATS, main
+from kbonacci.cli import FORMATS, _poly_text, main
 from kbonacci.prover import certify_divisibility, stride_charpoly
 from kbonacci.sequences import IdentityReport
 from polyref import RefPoly
@@ -204,7 +204,7 @@ class TestProve:
             code, out = run_cli(capsys, "prove", "--k", str(k), "--format", fmt)
             assert code == 0
             composed = RefPoly(stride_charpoly(k)).compose_power(k)
-            assert label + str(composed) in out.splitlines(), k
+            assert label + _poly_text(composed.coeffs) in out.splitlines(), k
 
     def test_large_order(self, capsys):
         code, out = run_cli(capsys, "prove", "--k", "25")
@@ -302,6 +302,16 @@ class TestDecimate:
         with pytest.raises(SystemExit) as excinfo:
             main(["decimate", "--charpoly", "2,-1,-1", "--stride", "2"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("charpoly", ["0,1,-3", "1", "2,1"])
+    def test_not_monic_of_degree_one_is_one_message(self, charpoly):
+        # a leading zero gets the same message as a leading 2 or degree 0
+        code, out, err = run_argv(["decimate", "--charpoly", charpoly, "--stride", "2"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "kbonacci: error: --charpoly must be monic of degree >= 1 "
+            "(descending coefficients starting with 1)"
+        ]
 
     def test_garbage_coefficients_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -18,7 +18,6 @@ from kbonacci.errors import (
     WindowTooNarrow,
 )
 from kbonacci.decimation import decimated_charpoly, recurrence_coefficients
-from kbonacci.intpoly import IntPoly
 from kbonacci.prover import identity_coefficients
 from kbonacci.sequences import (
     IdentityReport,
@@ -467,7 +466,7 @@ def stride_identities(draw):
     seeds = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
     rec = LinearRecurrence(coefficients, seeds, base=draw(st.integers(-20, 20)))
     stride = draw(st.integers(min_value=1, max_value=k))
-    charpoly = IntPoly((*(-c for c in coefficients[::-1]), 1))
+    charpoly = (*(-c for c in coefficients[::-1]), 1)
     identity = recurrence_coefficients(decimated_charpoly(charpoly, stride))
     if draw(st.booleans()):
         identity[draw(st.integers(0, k - 1))] += draw(st.sampled_from([-2, -1, 1, 3]))
@@ -616,7 +615,7 @@ def dense_window(rec, lo, hi):
         return values
 
     start = max(lo, rec.base)
-    r = _x_power_mod(start - rec.base, IntPoly((*(-c for c in rev), 1))).coeffs
+    r = _x_power_mod(start - rec.base, RefPoly((*(-c for c in rev), 1))).coeffs
     first = walk(list(rec.initial), k - 1 + len(r))
     seeds = [sum(map(mul, r, first[i : i + k])) for i in range(k)]
     ahead = walk(seeds, hi - start + 1)

@@ -106,8 +106,6 @@ def test_cli_request_without_site_imports_no_typing_or_json():
 # reason given
 UNREACHED = {
     "kbonacci.cli.run": "the console-script entry point, which calls main",
-    "kbonacci.intpoly.IntPoly.__hash__": "goes with __eq__, so polynomials can be dict keys",
-    "kbonacci.intpoly.IntPoly.__repr__": "what a failing assertion prints",
     "kbonacci.prover.stride_charpoly": "the paper's s_k, for a uniform certificate over k",
 }
 

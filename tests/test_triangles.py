@@ -3,7 +3,6 @@
 import pytest
 
 from kbonacci.errors import NegativeRow
-from kbonacci.intpoly import IntPoly
 from kbonacci.triangles import coeff_rows, diff_rows
 from polyref import RefPoly
 from test_prover import coeff_entry, diff_entry
@@ -37,14 +36,14 @@ def coeff_row_from_charpoly(k: int) -> list[int]:
     """Row k of the coefficient triangle from the order-k recurrence
     polynomial evaluated at 2 - Y: (2-Y)**k - sum_{i<k} (2-Y)**i has
     coefficient -C[k][i] at Y**i for 1 <= i <= k."""
-    two_minus_y = IntPoly((2, -1))
+    two_minus_y = RefPoly((2, -1))
     powers = [RefPoly((1,))]
     for _ in range(k):
         powers.append(powers[-1] * two_minus_y)
     shifted = powers[k]
     for i in range(k):
         shifted = shifted - powers[i]
-    return [-1] + [-shifted.coeff(i) for i in range(1, k + 1)]
+    return [-1] + [-c for c in shifted.coeffs[1:]]  # degree k, no Y**i missing
 
 
 def diff_row_from_binomial(n: int) -> list[int]:
@@ -52,8 +51,8 @@ def diff_row_from_binomial(n: int) -> list[int]:
     X*(2-X)**(n-1)."""
     poly = RefPoly((0, 1))
     for _ in range(n - 1):
-        poly = poly * IntPoly((2, -1))
-    return [poly.coeff(j) for j in range(n + 1)]
+        poly = poly * RefPoly((2, -1))
+    return list(poly.coeffs)  # degree n
 
 
 def column_one_closed_form(n: int) -> bool:
