@@ -145,6 +145,11 @@ def _cmd_triangle(args: SimpleNamespace) -> int:
 # --- prove ------------------------------------------------------------------
 
 
+def _row_labels(k: int) -> list[str]:
+    """The product matrix's row labels: X^0 .. X^(k-1), then -X^k."""
+    return [f"X^{r}" for r in range(k)] + [f"-X^{k}"]
+
+
 def _write_matrix(fmt: str, cert: Certificate) -> None:
     """Write the product matrix of cert in fmt through the table writer: for
     json its rows of ints, standing at depth 2; for tsv and markdown the case
@@ -173,8 +178,7 @@ def _write_matrix(fmt: str, cert: Certificate) -> None:
     if fmt == "json":
         _write_table("json", ((row,) for row in rows), 1, depth=2)
         return
-    labels = [f"X^{r}" for r in range(k)] + [f"-X^{k}"]
-    labelled = zip(labels, rows)
+    labelled = zip(_row_labels(k), rows)
     sums = ("SUM", *cert.column_sums)
     cases = ("case", *cert.column_cases)
     if fmt == "tsv":
@@ -241,7 +245,7 @@ def _cmd_prove(args: SimpleNamespace) -> int:
             doc["matrix"] = {
                 "k": cert.k,
                 "case_row": list(cert.column_cases),
-                "row_labels": [f"X^{r}" for r in range(cert.k)] + [f"-X^{cert.k}"],
+                "row_labels": _row_labels(cert.k),
                 "rows": [],
                 "column_sums": list(cert.column_sums),
             }
@@ -631,11 +635,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, NegativeRow, OrderTooSmall) as exc:
         sys.stderr.write(f"kbonacci: error: {exc}\n")
         raise SystemExit(2) from None
-
-
-def run() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    run()

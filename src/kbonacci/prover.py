@@ -53,6 +53,7 @@ from __future__ import annotations
 from _collections_abc import Iterable
 from itertools import accumulate, islice, zip_longest
 from operator import neg, sub
+from types import SimpleNamespace
 
 from .errors import EmptyCoefficients, OrderTooSmall
 from .triangles import coeff_rows
@@ -230,12 +231,15 @@ def trinomial_divmod(
     return quotient, remainder
 
 
-class Certificate:
-    """Everything checked while certifying one order k.
+class Certificate(SimpleNamespace):
+    """Everything checked while certifying one order k; a record whose
+    fields are set by keyword where certify_divisibility builds it, and
+    which compares by value.
 
-    stride_poly, quotient, remainder and base_poly are normalized tuples
-    of ascending coefficients, as every polynomial here is.  The composed
-    polynomial stride_charpoly(k)(X**k) is not kept: its coefficients are
+    k is the order.  base_poly, stride_poly, quotient and remainder are
+    normalized tuples of ascending coefficients, as every polynomial here
+    is; base_poly is base_charpoly(k).  The composed polynomial
+    stride_charpoly(k)(X**k) is not kept: its coefficients are
     stride_poly's, k places apart.  division_matches: (X-1) * base is a
     trinomial X**d + a*X**(d-1) + c, and dividing (X-1) * composed by it,
     as the three-term recurrence of trinomial_divmod, left remainder 0 and
@@ -248,44 +252,6 @@ class Certificate:
     matrix_verified: there are none.  Double-entry on purpose: a bug in
     either the product or the division cannot slip through both.
     """
-
-    __slots__ = (
-        "k",
-        "stride_poly",
-        "quotient",
-        "remainder",
-        "division_matches",
-        "product_matches",
-        "column_cases",
-        "column_sums",
-        "failed_columns",
-    )
-
-    def __init__(
-        self,
-        k: int,
-        stride_poly: tuple[int, ...],
-        quotient: tuple[int, ...],
-        remainder: tuple[int, ...],
-        division_matches: bool,
-        product_matches: bool,
-        column_cases: str,
-        column_sums: tuple[int, ...],
-        failed_columns: dict[str, tuple[int, ...]],
-    ):
-        self.k = k
-        self.stride_poly = stride_poly
-        self.quotient = quotient
-        self.remainder = remainder
-        self.division_matches = division_matches
-        self.product_matches = product_matches
-        self.column_cases = column_cases
-        self.column_sums = column_sums
-        self.failed_columns = failed_columns
-
-    @property
-    def base_poly(self) -> tuple[int, ...]:
-        return base_charpoly(self.k)
 
     @property
     def matrix_verified(self) -> bool:
@@ -302,15 +268,6 @@ def certify_divisibility(k: int) -> Certificate:
     table columns = list(zip_longest(*coeff_rows(k), fillvalue=0)), so
     columns[j][i] = C[i][j] and every entry right of the diagonal reads 0,
     and every later step reads from that table.
-
-    Division goes through the trinomial (X-1) * base, taken from the base
-    polynomial's coefficients: dividing (X-1) * composed by it gives the
-    same quotient as dividing composed by base, and (X-1) times the
-    remainder, which X-1 then divides exactly in one running sum, since
-    both vanish at X = 1.  Each step of the division reads three
-    coefficients, and every polynomial of degree k**2 is a plain list.
-    The remainder is the one result that can end in zeros; it is trimmed
-    before the certificate holds it.
     """
     base = base_charpoly(k)
     trinomial = list(map(sub, (0, *base), (*base, 0)))  # (X-1) * base
@@ -337,6 +294,7 @@ def certify_divisibility(k: int) -> Certificate:
     target = tuple(target)
     return Certificate(
         k=k,
+        base_poly=base,
         stride_poly=stride,
         quotient=quotient,
         remainder=tuple(remainder),

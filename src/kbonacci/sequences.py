@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from _collections_abc import Iterable, Sequence
 from operator import mul, sub
+from types import SimpleNamespace
 
 from .errors import (
     BadModulus,
@@ -169,27 +170,18 @@ def random_kbonacci(k: int, seed: int) -> LinearRecurrence:
     return LinearRecurrence(coefficients, [rng.randint(-9, 9) for _ in range(k)])
 
 
-class IdentityReport:
-    """Outcome of checking a strided identity over an index range."""
+class IdentityReport(SimpleNamespace):
+    """Outcome of checking a strided identity over the index range
+    [lo, hi]; a record whose fields are set by keyword where check_identity
+    builds it, and which compares by value.
 
-    __slots__ = ("lo", "hi", "failures", "holds_for_all_n")
-
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        failures: tuple[tuple[int, int, int], ...] = (),
-        holds_for_all_n: bool = False,
-    ):
-        self.lo = lo
-        self.hi = hi
-        # each failure is (index, actual value, value predicted by the identity)
-        self.failures = failures
-        # ok and the recurrence's trailing coefficient is +-1: the residual
-        # is 0 at the seeds, so in both directions, at every integer n.  An
-        # ok report without it is certified for n >= lo (any other trailing
-        # coefficient) or only on [lo, hi] (a residual nonzero outside it).
-        self.holds_for_all_n = holds_for_all_n
+    Each of failures is (index, actual value, value predicted by the
+    identity).  holds_for_all_n: the report is ok and the recurrence's
+    trailing coefficient is +-1, so the residual is 0 at the seeds, and so
+    in both directions, at every integer n.  An ok report without it is
+    certified for n >= lo (any other trailing coefficient) or only on
+    [lo, hi] (a residual nonzero outside it).
+    """
 
     @property
     def ok(self) -> bool:
@@ -248,11 +240,11 @@ def check_identity(
     anchor = rec.base if unit else lo
     residuals = _residuals(rec, coefficients, stride, anchor, anchor + rec.order - 1)
     if not any(residuals):
-        return IdentityReport(lo, hi, holds_for_all_n=unit)
+        return IdentityReport(lo=lo, hi=hi, failures=(), holds_for_all_n=unit)
     extension = LinearRecurrence(rec.coefficients, residuals, base=anchor)
     values = zip(range(lo, hi + 1), rec.window(lo, hi), extension.window(lo, hi))
     failures = tuple((n, a, a - r) for n, a, r in values if r)
-    return IdentityReport(lo, hi, failures)
+    return IdentityReport(lo=lo, hi=hi, failures=failures, holds_for_all_n=False)
 
 
 def _residuals(

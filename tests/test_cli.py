@@ -215,15 +215,11 @@ class TestProve:
         # one failed D column is counted against the family's two columns
         cert = cli.certify_divisibility(2)
         broken = type(cert)(
-            k=cert.k,
-            stride_poly=cert.stride_poly,
-            quotient=cert.quotient,
-            remainder=cert.remainder,
-            division_matches=False,
-            product_matches=cert.product_matches,
-            column_cases=cert.column_cases,
-            column_sums=cert.column_sums,
-            failed_columns={**cert.failed_columns, "D": (3,)},
+            **{
+                **vars(cert),
+                "division_matches": False,
+                "failed_columns": {**cert.failed_columns, "D": (3,)},
+            }
         )
         monkeypatch.setattr(cli, "certify_divisibility", lambda k: broken)
         code, out = run_cli(capsys, "prove", "--k", "2")
@@ -271,7 +267,7 @@ class TestVerify:
         assert excinfo.value.code == 2
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        failing = IdentityReport(4, 10, failures=((5, 5, 4),))
+        failing = IdentityReport(lo=4, hi=10, failures=((5, 5, 4),), holds_for_all_n=False)
         monkeypatch.setattr(cli, "check_identity", lambda *a, **kw: failing)
         code, out = run_cli(capsys, "verify", "--k", "2", "--n-from", "4", "--n-to", "10")
         assert code == 1

@@ -504,7 +504,27 @@ class TestCaseSums:
             failed_columns(cases, expected, matrix_sums(rows), target)
 
 
+CERTIFICATE_FIELDS = {
+    "k",
+    "base_poly",
+    "stride_poly",
+    "quotient",
+    "remainder",
+    "division_matches",
+    "product_matches",
+    "column_cases",
+    "column_sums",
+    "failed_columns",
+}
+
+
 class TestCertificate:
+    def test_fields_are_the_documented_ones(self):
+        # the record is built by keyword, so a misspelled field shows here
+        cert = certify_divisibility(5)
+        assert set(vars(cert)) == CERTIFICATE_FIELDS
+        assert cert.base_poly == base_charpoly(5)
+
     def test_order_two(self):
         cert = certify_divisibility(2)
         assert cert.ok

@@ -296,7 +296,7 @@ class TestResidueTallies:
     def test_closed_form_matches_brute_force(self, lo, width, mod, offsets):
         hi = lo + width
         failures = tuple((lo + d, 0, 1) for d in sorted(offsets) if d <= width)
-        report = IdentityReport(lo, hi, failures)
+        report = IdentityReport(lo=lo, hi=hi, failures=failures, holds_for_all_n=False)
         expected = {
             r: (
                 sum(1 for n in range(lo, hi + 1) if n % mod == r),
@@ -438,18 +438,32 @@ def check_identity_from_lo(rec, coefficients, stride, lo, hi):
     )
     if not any(residuals):
         holds = rec.coefficients[-1] in (1, -1)
-        return IdentityReport(lo, hi, holds_for_all_n=holds)
+        return IdentityReport(lo=lo, hi=hi, failures=(), holds_for_all_n=holds)
     extension = LinearRecurrence(rec.coefficients, residuals, base=lo)
     failures = tuple(
         (n, a, a - r)
         for n, a, r in zip(range(lo, hi + 1), rec.window(lo, hi), extension.window(lo, hi))
         if r
     )
-    return IdentityReport(lo, hi, failures)
+    return IdentityReport(lo=lo, hi=hi, failures=failures, holds_for_all_n=False)
 
 
 def report_fields(report):
-    return tuple(getattr(report, name) for name in IdentityReport.__slots__)
+    return vars(report)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (kbonacci(3), identity_coefficients(3), 3, 0, 10),  # passes
+        (kbonacci(2), [3, -2], 2, 4, 10),  # fails at every index
+    ],
+)
+def test_report_fields_are_the_documented_ones(case):
+    # each of check_identity's two construction sites sets every field by
+    # keyword, so a misspelled or missing field shows here
+    report = check_identity(*case)
+    assert set(vars(report)) == {"lo", "hi", "failures", "holds_for_all_n"}
 
 
 @st.composite

@@ -6,10 +6,13 @@ import importlib
 import inspect
 import io
 import os
+import re
 import subprocess
 import sys
 import typing
 from pathlib import Path
+
+import pytest
 
 import kbonacci
 from kbonacci.cli import FORMATS, main
@@ -105,7 +108,6 @@ def test_cli_request_without_site_imports_no_typing_or_json():
 # Defined in src/kbonacci but reached by no CLI request, each kept for the
 # reason given
 UNREACHED = {
-    "kbonacci.cli.run": "the console-script entry point, which calls main",
     "kbonacci.prover.stride_charpoly": "the paper's s_k, for a uniform certificate over k",
 }
 
@@ -141,3 +143,30 @@ def test_cli_reaches_every_callable():
             sys.setprofile(None)
     unreached = {name for name, fn in annotated_callables() if fn.__code__ not in reached}
     assert sorted(unreached) == sorted(UNREACHED)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["prove", "--k", "3"], 0), (["prove", "--k", "1"], 2), (["--help"], 0)],
+)
+def test_console_script_target(argv, code):
+    # the [project.scripts] target, called as an installed console script
+    # calls it: sys.exit(target()), with sys.argv[1:] the command line
+    text = (SRC.parents[1] / "pyproject.toml").read_text()
+    found = re.search(r'^\[project\.scripts\]\nkbonacci = "([\w.]+):(\w+)"$', text, re.M)
+    assert found is not None
+    module, name = found.groups()
+    script = f"import sys\nfrom {module} import {name}\nsys.exit({name}())\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["kbonacci: error: order 1 is below 2"]
+    else:
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("usage: kbonacci" if argv == ["--help"] else "# ")
