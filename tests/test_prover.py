@@ -602,7 +602,7 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("k", [2, 5, 12])
     @pytest.mark.parametrize("where", ["low", "middle", "lead"])
-    def test_perturbed_quotient_fails_every_route(self, k, where, monkeypatch):
+    def test_perturbed_quotient_fails_every_route(self, k, where, monkeypatch, capsys):
         def perturbed(columns):
             q = list(quotient_poly(columns))
             q[{"low": 0, "middle": len(q) // 2, "lead": -1}[where]] += 1
@@ -619,10 +619,17 @@ class TestDenseOracle:
         assert not cert.product_matches
         assert not cert.matrix_verified
         assert not cert.ok
+        # prove reports each failed column under its family, and exits 1
+        assert main(["prove", "--k", str(k), "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["matrix_verified"] is False
+        counts = {label: len(columns) for label, columns in cert.failed_columns.items()}
+        assert {label: c["failed"] for label, c in doc["cases"].items()} == counts
+        assert doc["verdict"] == "FAIL"
 
-    @pytest.mark.parametrize("k", [2, 3, 7, 20])
+    @pytest.mark.parametrize("k", [2, 3, 7, 12, 20])
     @pytest.mark.parametrize("offset", [(3, -2, 5), (4,)])
-    def test_nonzero_remainder_matches_plain_division(self, k, offset, monkeypatch):
+    def test_nonzero_remainder_matches_plain_division(self, k, offset, monkeypatch, capsys):
         # a constant offset leaves the division quotient equal to the explicit
         # one, so only the remainder can fail the division route
         def off_by_some(coefficients):
@@ -643,6 +650,10 @@ class TestDenseOracle:
         # target of exactly those columns
         assert all_failed(cert.failed_columns) == [k * i for i, v in enumerate(offset) if v]
         assert not cert.matrix_verified
+        assert main(["prove", "--k", str(k), "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["division_matches"] is False
+        assert doc["remainder_ascending"] == list(plain_remainder.coeffs)
 
 
 X_MINUS_ONE = RefPoly((-1, 1))
