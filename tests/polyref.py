@@ -7,16 +7,13 @@ what it is given, with the sum, difference, product, long division and
 composition with X**k that no request needs; the oracles are built as
 RefPoly(result).  A sum, difference, negation, product, quotient or
 composition whose left operand is a RefPoly is a RefPoly, so the oracles
-chain them freely.  dense_divmod is the schoolbook division they are
-checked against.
+chain them freely.  It is schoolbook arithmetic and imports nothing from
+kbonacci, so it shares no code with what it checks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-from kbonacci.cli import _poly_text
-from kbonacci.errors import NotMonic
 
 
 class BadCompositionPower(ValueError):
@@ -36,9 +33,6 @@ class RefPoly:
         if not isinstance(other, RefPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"RefPoly({self.coeffs!r})"
@@ -77,37 +71,28 @@ class RefPoly:
         return RefPoly(out)
 
     def __divmod__(self, other: RefPoly) -> tuple[RefPoly, RefPoly]:
-        """Quotient and remainder by a monic divisor, with
-        deg(remainder) < deg(divisor).
+        """Schoolbook long division by a monic divisor, with
+        deg(remainder) < deg(divisor): every step subtracts every divisor
+        coefficient, zeros and the leading 1 included.
 
         A zero divisor raises ZeroDivisionError and any other non-monic one
-        NotMonic.  Each step's quotient coefficient is the running head, and
-        the step subtracts only the divisor's nonzero lower terms, so a
-        sparse divisor such as a trinomial costs O(terms) per step, not
-        O(degree).
+        ValueError.
         """
         if not isinstance(other, RefPoly):
             return NotImplemented
-        den = other.coeffs
+        rest, den = list(self.coeffs), other.coeffs
         if not den:
             raise ZeroDivisionError("polynomial division by zero")
         if den[-1] != 1:
-            raise NotMonic(f"divisor {_poly_text(den)} is not monic")
+            raise ValueError("divisor is not monic")
         dd = len(den) - 1
-        num = list(self.coeffs)
-        terms = [(i, d) for i, d in enumerate(den[:-1]) if d]
-        quot = [0] * (len(num) - dd)
-        for shift in range(len(num) - dd - 1, -1, -1):
-            head = num[shift + dd]
-            if head == 0:
-                continue
-            quot[shift] = head
-            for i, d in terms:
-                num[shift + i] -= head * d
-        return RefPoly(quot), RefPoly(num[:dd])
-
-    def __floordiv__(self, other: RefPoly) -> RefPoly:
-        return divmod(self, other)[0]
+        quot = [0] * max(0, len(rest) - dd)
+        for shift in range(len(rest) - dd - 1, -1, -1):
+            step = rest[shift + dd]
+            quot[shift] = step
+            for i in range(dd + 1):
+                rest[shift + i] -= step * den[i]
+        return RefPoly(quot), RefPoly(rest)
 
     def compose_power(self, k: int) -> RefPoly:
         """Substitute X**k for X: coefficient of X**i moves to X**(i*k)."""
@@ -118,16 +103,3 @@ class RefPoly:
             out[i * k] = c
         return RefPoly(out)
 
-
-def dense_divmod(num: RefPoly, den: RefPoly) -> tuple[RefPoly, RefPoly]:
-    """Schoolbook long division by a monic divisor, subtracting every
-    divisor coefficient, zeros and the leading 1 included, at every step."""
-    rest, den = list(num.coeffs), list(den.coeffs)
-    dd = len(den) - 1
-    quot = [0] * max(0, len(rest) - dd)
-    for shift in range(len(rest) - dd - 1, -1, -1):
-        step = rest[shift + dd]
-        quot[shift] = step
-        for i in range(dd + 1):
-            rest[shift + i] -= step * den[i]
-    return RefPoly(quot), RefPoly(rest)

@@ -467,6 +467,24 @@ def recorded_writes(fn, *args, **kwargs) -> list[str]:
     return calls
 
 
+class TestRendering:
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ((), "0"),
+            ((1, 0, -3, 0, 1), "X^4-3X^2+1"),
+            ((1, -7, 5, -1), "-X^3+5X^2-7X+1"),
+            ((-1, 1, 1), "X^2+X-1"),
+            ((0, 1), "X"),
+            ((-1, 0, 2), "2X^2-1"),
+            ((7,), "7"),
+            ((0, -1), "-X"),
+        ],
+    )
+    def test_descending_render(self, coeffs, text):
+        assert _poly_text(coeffs) == text
+
+
 @st.composite
 def tables(draw) -> tuple[int, list[tuple[int, ...]]]:
     """A width and rows of 1..width ints, negative and multi-digit."""

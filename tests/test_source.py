@@ -35,6 +35,21 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_polyref_imports_nothing_from_kbonacci():
+    # the reference arithmetic must not share code with what it checks
+    path = Path(__file__).with_name("polyref.py")
+    imported = [
+        (f"{path.name}:{node.lineno}", name)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    ]
+    assert [(at, name) for at, name in imported if name.split(".")[0] == "kbonacci"] == []
+
+
 def annotated_callables():
     """(qualified name, function) for every function and method defined in
     src/kbonacci, properties included.  Importing each module, __main__
