@@ -11,10 +11,11 @@ remainder raises instead of leaving the integers.
 
 Newton's identities seed P_1..P_n in O(n^2) operations; then
 `sequences.LinearRecurrence.walk`, which builds the windows too, steps on
-to P_{n*s} and samples Q_1..Q_n, holding O(n) power sums at a time.  For
-the k-step family a step costs O(1) big-int operations (P_{m+1} = 2 P_m -
-P_{m-k}), O(k^2) in all for p_k at stride k; P_m has about m bits, so
-that is O(k^4) bit operations.  A dense p costs O(n^2 s) operations.
+to P_{n*s} and samples Q_1..Q_n, holding the last n + 1 power sums
+besides the n it samples.  For the k-step family a step costs O(1)
+big-int operations (P_{m+1} = 2 P_m - P_{m-k}), O(k^2) in all for p_k at
+stride k; P_m has about m bits, so that is O(k^4) bit operations.  A
+dense p costs O(n^2 s) operations.
 
 A polynomial is a tuple of ints in ascending exponent order, normalized,
 so its last entry is the leading coefficient.
@@ -58,7 +59,7 @@ def decimated_charpoly(charpoly: tuple[int, ...], stride: int) -> tuple[int, ...
     sums = [0] * n
     for m in range(1, n + 1):
         sums.append(sum(map(mul, rev, sums[-n:])) + m * c[m - 1])
-    # Q_1..Q_n = P_s, P_2s, ..., P_ns, keeping O(n) power sums at a time
+    # Q_1..Q_n = P_s, P_2s, ..., P_ns, holding the last n + 1 power sums
     q_sums = LinearRecurrence(c, sums[n:], base=1).walk(stride, n * stride, stride)
     d: list[int] = []
     for m in range(1, n + 1):

@@ -3,16 +3,17 @@
 A LinearRecurrence is a(n) = sum_{i=1..k} coefficients[i-1] * a(n-i) with
 k seed values starting at a base index.  Every walk of a recurrence in
 the package, a window here or the power sums of `decimation`, is one
-LinearRecurrence.walk: runs of 16k steps of one stepper, extend_linear,
-keeping only the last k values between runs.  After its first step the
-stepper uses the multiple (X - 1) * p of the characteristic polynomial p
-when that has fewer nonzero terms: the k-step family then costs two
-multiplications per step, a(n+1) = 2a(n) - a(n-k); dense rules keep the
-k-term dot product.  Windows may extend below the base when the trailing
-coefficient is +-1 (always the case for the k-step Fibonacci family):
-then b(t) = a(-t) obeys the time-reversed recurrence, an integer
-recurrence of the same order, and going backward is walking forward on
-it.  Any other trailing coefficient raises on a window below the base.
+LinearRecurrence.walk: a slice of one stepper generator,
+LinearRecurrence.values, which holds only the last k + 1 values.  After
+its first step the stepper uses the multiple (X - 1) * p of the
+characteristic polynomial p when that has fewer nonzero terms: the k-step
+family then costs two multiplications per step, a(n+1) = 2a(n) - a(n-k);
+dense rules keep the k-term dot product.  Windows may extend below the
+base when the trailing coefficient is +-1 (always the case for the k-step
+Fibonacci family): then b(t) = a(-t) obeys the time-reversed recurrence,
+an integer recurrence of the same order, and going backward is walking
+forward on it.  Any other trailing coefficient raises on a window below
+the base.
 
 check_identity verifies a strided self-similarity identity
 a(n) = sum_j coeffs[j] * a(n - stride*(j+1)) over an index range through
@@ -26,7 +27,9 @@ all of the range.
 from __future__ import annotations
 
 import random
-from _collections_abc import Iterable, Sequence
+from _collections import deque
+from _collections_abc import Iterable, Iterator
+from itertools import islice
 from operator import mul, sub
 from types import SimpleNamespace
 
@@ -96,56 +99,51 @@ class LinearRecurrence:
         return LinearRecurrence(weights, self.initial[::-1], 1 - self.base - self.order)
 
     def walk(self, lo: int, hi: int, step: int = 1) -> list[int]:
-        """The values at lo, lo + step, ... up to hi, for base <= lo, as a list,
-        from runs of 16k steps that keep only their last k values."""
+        """The values at lo, lo + step, ... up to hi, for base <= lo <= hi,
+        as a list: a slice of `values`."""
         if lo < self.base:
             raise BelowBase(f"a walk starts at the base {self.base} or above, not {lo}")
-        k = self.order
-        values, start, out = list(self.initial), self.base, []
+        if lo > hi:
+            raise WindowTooNarrow(f"empty walk [{lo}, {hi}]")
+        return list(islice(self.values(), lo - self.base, hi - self.base + 1, step))
+
+    def values(self) -> Iterator[int]:
+        """The seeds, then every later value, holding only the last k + 1.
+
+        The first new value takes the dense head
+
+            H(t) = sum_{i=1..k} coefficients[i-1] * v(t-i).
+
+        Each later one may instead use the rule's multiple by (X - 1):
+        H(t) - H(t-1) needs only the lags where consecutive coefficients
+        differ, and the last step made H(t-1) = v(t-1), so
+
+            H(t) = v(t-1) + sum_{i=1..k+1} (w_i - w_{i-1}) * v(t-i)
+
+        with w_i = coefficients[i-1] and w_0 = w_{k+1} = 0.  That rule is
+        used when it has fewer nonzero terms than the coefficients: the
+        k-step family steps a(n+1) = 2a(n) - a(n-k) forward and a(n) =
+        2a(n+k) - a(n+k+1) backward, O(1) big-int work per step.
+        """
+        weights = self.coefficients
+        k = len(weights)
+        lags = list(map(sub, (*weights, 0), (0, *weights)))  # w_i - w_{i-1}
+        lags[0] += 1
+        terms = [(-i, c) for i, c in enumerate(lags, start=1) if c]
+        sparse = len(terms) < k - weights.count(0)
+        last = deque(self.initial, maxlen=k + 1)
+        yield from self.initial
+        # map stops after k products, so last may hold k values or k + 1
+        head = sum(map(mul, weights, reversed(last)))
         while True:
-            values = extend_linear(values, self.coefficients, min(17 * k, hi - start + 1))
-            # lo + step * len(out) is the next index to collect
-            out += values[lo + step * len(out) - start : hi - start + 1 : step]
-            if start + len(values) > hi:
-                return out
-            start, values = start + len(values) - k, values[-k:]
-
-
-def extend_linear(values: list[int], weights: Sequence[int], stop: int) -> list[int]:
-    """Append to values, until it holds stop of them, the solutions of
-
-        v(t) = H(t) = sum_{i=1..k} weights[i-1] * v(t-i),
-
-    and return values.  It must hold at least k = len(weights) values.
-
-    The first new value takes the dense head.  Each later one may instead
-    use the rule's multiple by (X - 1): H(t) - H(t-1) needs only the lags
-    where consecutive weights differ, and the last step made H(t-1) =
-    v(t-1), so
-
-        H(t) = v(t-1) + sum_{i=1..k+1} (w_i - w_{i-1}) * v(t-i)
-
-    with w_0 = w_{k+1} = 0.  That rule is used when it has fewer nonzero
-    terms than the weights: the k-step family steps a(n+1) = 2a(n) - a(n-k)
-    forward and a(n) = 2a(n+k) - a(n+k+1) backward, O(1) big-int work per
-    step.
-    """
-    k = len(weights)
-    rev = weights[::-1]
-    lags = list(map(sub, (*weights, 0), (0, *weights)))  # w_i - w_{i-1}
-    lags[0] += 1
-    terms = [(-i, c) for i, c in enumerate(lags, start=1) if c]
-    sparse = len(terms) < k - weights.count(0)
-    first = len(values)
-    for t in range(first, stop):
-        if sparse and t > first:
-            head = 0
-            for i, c in terms:
-                head += c * values[i]
-        else:
-            head = sum(map(mul, rev, values[-k:]))
-        values.append(head)
-    return values
+            last.append(head)
+            yield head
+            if sparse:
+                head = 0
+                for i, c in terms:
+                    head += c * last[i]
+            else:
+                head = sum(map(mul, weights, reversed(last)))
 
 
 def kbonacci(k: int) -> LinearRecurrence:

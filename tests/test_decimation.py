@@ -277,7 +277,7 @@ class TestCayleyHamilton:
 
 
 def dense_decimated_charpoly(charpoly: tuple[int, ...], stride: int) -> tuple[int, ...]:
-    """decimated_charpoly as it was before extend_linear: every power sum,
+    """decimated_charpoly without the stepper: every power sum,
     Newton-seeded or not, is a k-term dot product."""
     if stride < 1:
         raise BadStride(f"stride must be >= 1, got {stride}")
@@ -371,15 +371,17 @@ class TestPowerSums:
         assert decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k)
 
     def test_order_150_in_bounded_memory(self):
-        # the walk keeps one run of 16k power sums, not all k^2 of them
-        tracemalloc.start()
-        try:
-            decimated = decimated_charpoly(base_charpoly(150), 150)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 15_000_000
-        assert decimated == stride_charpoly(150)
+        # the walk holds the last k + 1 power sums besides the k it samples,
+        # not all k^2 of them
+        for k, bound in [(150, 15_000_000), (200, 4_000_000)]:
+            tracemalloc.start()
+            try:
+                decimated = decimated_charpoly(base_charpoly(k), k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, k
+            assert decimated == stride_charpoly(k)
 
     @given(run_coefficients(), st.integers(1, 6))
     def test_matches_dense_power_sums(self, coefficients, stride):

@@ -1,6 +1,8 @@
 """Unit tests for recurrence evaluation and identity checking."""
 
 import tracemalloc
+from collections import deque
+from itertools import islice
 from operator import mul
 
 import pytest
@@ -16,13 +18,13 @@ from kbonacci.errors import (
     SeedCountMismatch,
     WindowTooNarrow,
 )
+from kbonacci import sequences
 from kbonacci.decimation import decimated_charpoly, recurrence_coefficients
 from kbonacci.prover import identity_coefficients
 from kbonacci.sequences import (
     IdentityReport,
     LinearRecurrence,
     check_identity,
-    extend_linear,
     kbonacci,
     random_kbonacci,
 )
@@ -101,8 +103,9 @@ class TestWindow:
 
 @st.composite
 def walks(draw):
-    """A k-step or dense recurrence of order 1-8 and a walk over several
-    runs of 16k steps: its start, end and a step of 1..3k."""
+    """A k-step or dense recurrence of order 1-8 and a walk of it: a start
+    up to 48k past the base, an end up to 80k past the start, and a step of
+    1..3k."""
     k = draw(st.integers(1, 8))
     if draw(st.booleans()):
         coefficients = (1,) * k
@@ -126,6 +129,14 @@ class TestWalk:
         assert rec.walk(3, 4) == [0, 1]
         with pytest.raises(BelowBase):
             rec.walk(2, 4)
+
+    @pytest.mark.parametrize(
+        "rec, lo, hi",
+        [(LinearRecurrence((1, 1), (5, 7)), 0, -2), (kbonacci(4), 0, -3), (kbonacci(2), 5, 3)],
+    )
+    def test_empty_range_raises(self, rec, lo, hi):
+        with pytest.raises(WindowTooNarrow):
+            rec.walk(lo, hi)
 
 
 class TestCheckIdentity:
@@ -590,7 +601,7 @@ class TestFarWindows:
 
 
 def dense_extend(values, weights, stop):
-    """extend_linear by the dense head alone: one k-term dot product a step."""
+    """The stepper by the dense head alone: one k-term dot product a step."""
     k = len(weights)
     rev = tuple(weights[::-1])
     for _ in range(len(values), stop):
@@ -627,9 +638,9 @@ class TestStepperAgainstDenseLoops:
         st.lists(st.integers(min_value=-9, max_value=9), min_size=30, max_size=30),
         st.integers(min_value=0, max_value=80),
     )
-    def test_extend_linear(self, weights, seeds, steps):
+    def test_values(self, weights, seeds, steps):
         k = len(weights)
-        got = extend_linear(seeds[:k], weights, k + steps)
+        got = list(islice(LinearRecurrence(weights, seeds[:k]).values(), k + steps))
         assert got == dense_extend(seeds[:k], weights, k + steps)
 
     @given(run_recurrences(), st.integers(0, 40), st.integers(0, 80))
@@ -665,17 +676,24 @@ class TestStepperAgainstDenseLoops:
             ((1, 2, 2), None),
         ],
     )
-    def test_reads_per_step(self, weights, lags):
-        class Reads(list):
+    def test_reads_per_step(self, weights, lags, monkeypatch):
+        dense = "reversed"
+
+        class Reads(deque):
             def __getitem__(self, i):
                 got.append(i)
                 return super().__getitem__(i)
 
+            def __reversed__(self):
+                got.append(dense)
+                return super().__reversed__()
+
+        monkeypatch.setattr(sequences, "deque", Reads)
         got = []
         k = len(weights)
-        values = extend_linear(Reads([0] * (k - 1) + [1]), weights, k + 50)
-        assert values == dense_extend([0] * (k - 1) + [1], weights, k + 50)
-        dense = slice(-k, None)
+        seeds = [0] * (k - 1) + [1]
+        values = list(islice(LinearRecurrence(weights, seeds).values(), k + 50))
+        assert values == dense_extend(seeds, weights, k + 50)
         if lags is None:
             assert got == [dense] * 50
         else:
