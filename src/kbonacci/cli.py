@@ -28,7 +28,11 @@ from the same table.  A flag is given as `--flag value` or `--flag=value`,
 spelled out in full (no abbreviations); a value may be a negative integer.
 A repeated flag keeps its last value.  `-h`/`--help`, at the top level or
 after a command, prints usage to stdout and exits 0.  Every usage error is
-the single stderr line `kbonacci: error: <message>` and exit code 2.
+the single stderr line `kbonacci: error: <message>` and exit code 2.  The
+CLI refuses a value that does not parse and two flags that contradict each
+other (--n-from > --n-to, --k-min > --k-max); every bound on one value is
+the refusal of the library function that uses it, printed as it is, e.g.
+`kbonacci: error: stride must be >= 1, got 0`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import chain
 from types import SimpleNamespace
 
 from .decimation import decimated_charpoly, recurrence_coefficients
-from .errors import NegativeRow, OrderTooSmall
+from .errors import BadStride, NegativeRow, NotMonic, OrderTooSmall
 from .jsontext import dumps, newline
 from .prover import Certificate, certify_divisibility, identity_coefficients
 from .sequences import check_identity, kbonacci, random_kbonacci
@@ -156,21 +160,16 @@ def _write_matrix(fmt: str, cert: Certificate) -> None:
     row, the labelled rows (blank where zero) and the SUM row.
 
     Row r is r zero cells, the quotient's cells (negated in row k) and zero
-    cells to the width k*k + 1.  The quotient is turned into text joined by
-    the writer's cell separator once, so each row reaches the writer as one
-    cell of text (for json, where a zero prints as 0, by one % of the joined
-    cells), after its label in tsv and markdown.
+    cells to the width k*k + 1.  The quotient's cells are joined by the
+    writer's cell separator once, so each row reaches the writer as one cell
+    of text, after its label in tsv and markdown.
     """
     zero = "0" if fmt == "json" else ""
     sep = _framing(fmt, depth=2)[2]
     k, quotient = cert.k, cert.quotient
     n, width = len(quotient), k * k + 1
     signed = (quotient, tuple(-v for v in quotient))
-    if fmt == "json":
-        cells = sep.join(["%d"] * n)
-        body, negated = (cells % q for q in signed)
-    else:
-        body, negated = (sep.join([str(v) if v else zero for v in q]) for q in signed)
+    body, negated = (sep.join([str(v) if v else zero for v in q]) for q in signed)
     rows = (
         (zero + sep) * r + text + (sep + zero) * (width - r - n)
         for r, text in enumerate([body] * k + [negated])
@@ -330,23 +329,16 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _parse_charpoly(text: str) -> tuple[int, ...]:
-    """The value of --charpoly: a monic polynomial of degree >= 1 from its
-    comma-separated descending coefficients, as ascending coefficients."""
+    """The value of --charpoly, comma-separated descending coefficients, as
+    ascending ones; decimated_charpoly refuses one not monic of degree >= 1."""
     try:
         descending = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"--charpoly must be comma-separated integers: {exc}")
-    if len(descending) < 2 or descending[0] != 1:
-        raise _UsageError(
-            "--charpoly must be monic of degree >= 1 "
-            "(descending coefficients starting with 1)"
-        )
     return tuple(reversed(descending))
 
 
 def _cmd_decimate(args: SimpleNamespace) -> int:
-    if args.stride < 1:
-        raise _UsageError("--stride must be >= 1")
     poly = args.charpoly
     decimated = decimated_charpoly(poly, args.stride)
     coefficients = recurrence_coefficients(decimated)
@@ -391,8 +383,6 @@ def _sweep_row(k: int) -> dict:
 
 
 def _cmd_sweep(args: SimpleNamespace) -> int:
-    if args.k_min < 2:
-        raise _UsageError("--k-min must be >= 2")
     if args.k_min > args.k_max:
         raise _UsageError("--k-min must not exceed --k-max")
     results = [_sweep_row(k) for k in range(args.k_min, args.k_max + 1)]
@@ -623,8 +613,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     and the caller's limit is restored when it returns."""
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
-        if not hasattr(sys, "get_int_max_str_digits"):  # no limit to lift
-            return handler(args)
         # argv was read under the caller's limit; exact output has none
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
@@ -632,6 +620,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return handler(args)
         finally:
             sys.set_int_max_str_digits(limit)
-    except (_UsageError, NegativeRow, OrderTooSmall) as exc:
+    except (_UsageError, BadStride, NegativeRow, NotMonic, OrderTooSmall) as exc:
         sys.stderr.write(f"kbonacci: error: {exc}\n")
         raise SystemExit(2) from None
