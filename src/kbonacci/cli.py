@@ -45,7 +45,7 @@ from types import SimpleNamespace
 from .decimation import decimated_charpoly, recurrence_coefficients
 from .errors import BadStride, NegativeRow, NotMonic, OrderTooSmall
 from .jsontext import dumps, newline
-from .prover import Certificate, certify_divisibility, identity_coefficients
+from .prover import Certificate, certify_divisibility, kstep_identity
 from .sequences import check_identity, kbonacci, random_kbonacci
 from .triangles import coeff_rows, diff_rows
 
@@ -166,7 +166,7 @@ def _write_matrix(fmt: str, cert: Certificate) -> None:
     """
     zero = "0" if fmt == "json" else ""
     sep = _framing(fmt, depth=2)[2]
-    k, quotient = cert.k, cert.quotient
+    k, quotient = cert.identity.k, cert.quotient
     n, width = len(quotient), k * k + 1
     signed = (quotient, tuple(-v for v in quotient))
     body, negated = (sep.join([str(v) if v else zero for v in q]) for q in signed)
@@ -194,15 +194,15 @@ def _certificate_fields(
     tallies = ", ".join(
         f"{label} {c['passed']}/{c['passed'] + c['failed']}" for label, c in cases.items()
     )
-    identity = _identity_text(recurrence_coefficients(cert.stride_poly), cert.k)
-    # stride_poly(X**k): the coefficient of X**i moves to X**(k*i)
-    composed = [0] * ((len(cert.stride_poly) - 1) * cert.k + 1)
-    composed[:: cert.k] = cert.stride_poly
+    identity = cert.identity
+    # charpoly(X**stride): the coefficient of X**i moves to X**(stride*i)
+    composed = [0] * ((len(identity.charpoly) - 1) * identity.stride + 1)
+    composed[:: identity.stride] = identity.charpoly
     verdict = "PASS" if cert.ok else "FAIL"
     return [
-        ("order", cert.k),
-        ("recurrence polynomial", _poly_text(cert.base_poly)),
-        ("subsequence polynomial", _poly_text(cert.stride_poly)),
+        ("order", identity.k),
+        ("recurrence polynomial", _poly_text(identity.base)),
+        ("subsequence polynomial", _poly_text(identity.charpoly)),
         ("identity polynomial", _poly_text(composed)),
         ("explicit quotient", _poly_text(cert.quotient)),
         ("division remainder", _poly_text(cert.remainder)),
@@ -210,7 +210,7 @@ def _certificate_fields(
         ("re-multiplication matches", "yes" if cert.product_matches else "NO"),
         ("matrix column sums verified", "yes" if cert.matrix_verified else "NO"),
         ("case checks (passed/total)", tallies),
-        ("certified identity", identity),
+        ("certified identity", _identity_text(identity.coefficients, identity.stride)),
         ("verdict", verdict),
     ]
 
@@ -227,9 +227,9 @@ def _cmd_prove(args: SimpleNamespace) -> int:
     write = sys.stdout.write
     if args.format == "json":
         doc = {
-            "k": cert.k,
-            "base_ascending": list(cert.base_poly),
-            "stride_ascending": list(cert.stride_poly),
+            "k": args.k,
+            "base_ascending": list(cert.identity.base),
+            "stride_ascending": list(cert.identity.charpoly),
             "quotient_ascending": list(cert.quotient),
             "remainder_ascending": list(cert.remainder),
             "division_matches": cert.division_matches,
@@ -242,9 +242,9 @@ def _cmd_prove(args: SimpleNamespace) -> int:
             print(dumps(doc))
         else:
             doc["matrix"] = {
-                "k": cert.k,
+                "k": args.k,
                 "case_row": list(cert.column_cases),
-                "row_labels": _row_labels(cert.k),
+                "row_labels": _row_labels(args.k),
                 "rows": [],
                 "column_sums": list(cert.column_sums),
             }
@@ -258,7 +258,7 @@ def _cmd_prove(args: SimpleNamespace) -> int:
         if args.show_matrix:
             _write_matrix("tsv", cert)
     else:
-        print(f"# Divisibility certificate, order {cert.k}")
+        print(f"# Divisibility certificate, order {args.k}")
         print()
         for key, value in _certificate_fields(cert, cases):
             print(f"- {key}: {value}")
@@ -276,9 +276,10 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     if args.n_from > args.n_to:
         raise _UsageError("--n-from must not exceed --n-to")
     rec = kbonacci(k) if args.seed is None else random_kbonacci(k, args.seed)
-    coefficients = identity_coefficients(k)
-    report = check_identity(rec, coefficients, k, args.n_from, args.n_to)
-    tallies = report.residue_tallies(k)
+    identity = kstep_identity(k)
+    coefficients, stride = identity.coefficients, identity.stride
+    report = check_identity(rec, coefficients, stride, args.n_from, args.n_to)
+    tallies = report.residue_tallies(stride)
     verdict = "PASS" if report.ok else "FAIL"
     rows = ((r, c, f) for r, (c, f) in tallies.items())
     if args.format == "json":
@@ -287,7 +288,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
             "seed": args.seed,
             "initial": list(rec.initial),
             "coefficients": coefficients,
-            "stride": k,
+            "stride": stride,
             "n_from": args.n_from,
             "n_to": args.n_to,
             "checked": report.checked,
@@ -312,10 +313,10 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         print(f"# Identity check, order {k}")
         print()
         print(f"- sequence: {source}")
-        print(f"- identity: {_identity_text(coefficients, k)}")
+        print(f"- identity: {_identity_text(coefficients, stride)}")
         print(f"- range: n in [{args.n_from}, {args.n_to}], {report.checked} indices")
         print()
-        header = (f"residue mod {k}", "checked", "failed")
+        header = (f"residue mod {stride}", "checked", "failed")
         _write_table("markdown", _headed(header, rows), 3)
         print()
         if report.first_counterexample is not None:
@@ -369,10 +370,10 @@ def _cmd_decimate(args: SimpleNamespace) -> int:
 
 def _sweep_row(k: int) -> dict:
     cert = certify_divisibility(k)
-    oracle_ok = decimated_charpoly(cert.base_poly, k) == cert.stride_poly
-    coefficients = recurrence_coefficients(cert.stride_poly)
+    identity, stride = cert.identity, cert.identity.stride
+    oracle_ok = decimated_charpoly(identity.base, stride) == identity.charpoly
     # zero residuals at the seeds make a pass hold for every n (holds_for_all_n)
-    numeric = check_identity(kbonacci(k), coefficients, k, -20, 60)
+    numeric = check_identity(kbonacci(k), identity.coefficients, stride, -20, 60)
     return {
         "k": k,
         "divisibility": cert.division_matches and cert.product_matches,

@@ -2,12 +2,14 @@
 
 The fact being certified: for every k >= 2, row k of the coefficient
 triangle gives an identity F(n) = sum_i C[k][i] * F(n - k*i) satisfied by
-every sequence obeying the order-k all-ones recurrence.  An identity holds
-for a sequence exactly when the identity's characteristic polynomial is
-divisible by the characteristic polynomial of the recurrence generating
-it, so the whole proof reduces to one polynomial fact:
+every sequence obeying the order-k all-ones recurrence; one Identity
+record holds its base, stride, coefficients and charpoly.  An identity
+holds for a sequence exactly when the identity's characteristic
+polynomial is divisible by the characteristic polynomial of the
+recurrence generating it, so the whole proof reduces to one polynomial
+fact:
 
-    stride_charpoly(k)(X**k) == base_charpoly(k) * quotient_poly(columns)
+    charpoly(X**stride) == base * quotient_poly(columns)
 
 with the quotient written down explicitly, in integer coefficients, from
 triangle entries.  A polynomial is a tuple of ints in ascending exponent
@@ -50,12 +52,11 @@ each certificate builds the table once.
 
 from __future__ import annotations
 
-from _collections_abc import Iterable
 from itertools import accumulate, islice, zip_longest
 from operator import neg, sub
 from types import SimpleNamespace
 
-from .errors import EmptyCoefficients, OrderTooSmall
+from .errors import OrderTooSmall
 from .triangles import coeff_rows
 
 CASE_LABELS = ("A", "B", "C", "D", "E")
@@ -66,40 +67,33 @@ def _require_order(k: int) -> None:
         raise OrderTooSmall(f"order {k} is below 2")
 
 
-def base_charpoly(k: int) -> tuple[int, ...]:
-    """X**k - X**(k-1) - ... - X - 1, the charpoly of the k-step recurrence."""
-    _require_order(k)
-    return (-1,) * k + (1,)
+class Identity(SimpleNamespace):
+    """F(n) = sum_i C[k][i] * F(n - stride*i), a record built by keyword in
+    _row_identity that compares by value: the order k, the recurrence's
+    charpoly base = X**k - X**(k-1) - ... - 1, stride k, coefficients
+    C[k][1..k] and charpoly X**k - sum_i C[k][i] * X**(k-i), the charpoly of
+    every stride-k subsequence; charpoly(X**stride) is the identity's own."""
 
 
-def identity_coefficients(k: int) -> list[int]:
-    """[C[k][1], ..., C[k][k]]: the stride-k identity coefficients, read
-    from the last row; the rows above it are dropped as they are passed."""
+def _row_identity(row: list[int]) -> Identity:
+    """The Identity read from triangle row k, C[k][0..k]."""
+    k, coefficients = len(row) - 1, row[1:]
+    charpoly = (*map(neg, reversed(coefficients)), 1)
+    base = (-1,) * k + (1,)
+    return Identity(k=k, base=base, stride=k, coefficients=coefficients, charpoly=charpoly)
+
+
+def kstep_identity(k: int) -> Identity:
+    """The Identity of order k, read from the last triangle row; the rows
+    above it are dropped as they are passed."""
     _require_order(k)
     for row in coeff_rows(k):
         pass
-    return row[1:]
-
-
-def identity_charpoly(coefficients: Iterable[int]) -> tuple[int, ...]:
-    """Characteristic polynomial X**n - sum c_i X**(n-i) of an identity."""
-    coefficients = list(coefficients)
-    if not coefficients:
-        raise EmptyCoefficients("an identity needs at least one coefficient")
-    return (*(-c for c in reversed(coefficients)), 1)
-
-
-def stride_charpoly(k: int) -> tuple[int, ...]:
-    """Charpoly of the stride-k subsequence, built from triangle row k.
-
-    Composing with X**k turns it into the charpoly of the full stride-k
-    identity on the original sequence.
-    """
-    return identity_charpoly(identity_coefficients(k))
+    return _row_identity(row)
 
 
 def quotient_poly(columns: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The explicit quotient stride_charpoly(k)(X**k) / base_charpoly(k),
+    """The explicit quotient charpoly(X**k) / base of the order-k Identity,
     read from the column table columns[j][i] = C[i][j] of certify_divisibility.
 
     Degree k*(k-1).  Assembled directly from triangle entries: a leading
@@ -121,7 +115,8 @@ def quotient_poly(columns: list[tuple[int, ...]]) -> tuple[int, ...]:
 
 
 def column_sums(quotient: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Column sums of the product matrix of (-base_charpoly(k)) * quotient.
+    """Column sums of the product matrix of (-base) * quotient, base of
+    degree k.
 
     Row r (0 <= r <= k-1) of the matrix holds the ascending coefficients of
     X**r * quotient and row k those of -X**k * quotient, so its k*k + 1
@@ -187,7 +182,7 @@ def failed_columns(
     target: tuple[int, ...],
 ) -> dict[str, tuple[int, ...]]:
     """The columns of each case family whose closed form (expected), column
-    sum and target, the coefficients of -stride_charpoly(k)(X**k), are not
+    sum and target, the coefficients of -charpoly(X**stride), are not
     all equal.  The three lists are compared whole, and the columns walked
     only to name the ones that fail; a target of another width fails the
     comparison and raises ValueError in the walk.
@@ -236,11 +231,10 @@ class Certificate(SimpleNamespace):
     fields are set by keyword where certify_divisibility builds it, and
     which compares by value.
 
-    k is the order.  base_poly, stride_poly, quotient and remainder are
-    normalized tuples of ascending coefficients, as every polynomial here
-    is; base_poly is base_charpoly(k).  The composed polynomial
-    stride_charpoly(k)(X**k) is not kept: its coefficients are
-    stride_poly's, k places apart.  division_matches: (X-1) * base is a
+    identity is the order-k Identity, read from the certificate's own
+    table; the composed polynomial charpoly(X**stride) is not kept.
+    quotient and remainder are normalized tuples of ascending coefficients,
+    as every polynomial here is.  division_matches: (X-1) * base is a
     trinomial X**d + a*X**(d-1) + c, and dividing (X-1) * composed by it,
     as the three-term recurrence of trinomial_divmod, left remainder 0 and
     returned the explicit quotient; remainder is the remainder by base,
@@ -267,18 +261,19 @@ def certify_divisibility(k: int) -> Certificate:
     the result, not raised.  The triangle is built once, as the column
     table columns = list(zip_longest(*coeff_rows(k), fillvalue=0)), so
     columns[j][i] = C[i][j] and every entry right of the diagonal reads 0,
-    and every later step reads from that table.
+    and every later step, row k's Identity included, reads from it.
     """
-    base = base_charpoly(k)
-    trinomial = list(map(sub, (0, *base), (*base, 0)))  # (X-1) * base
+    _require_order(k)
     columns = list(zip_longest(*coeff_rows(k), fillvalue=0))
-    stride = identity_charpoly(column[k] for column in columns[1:])
-    width = (len(stride) - 1) * k + 1
+    identity = _row_identity([column[k] for column in columns])
+    base, stride, charpoly = identity.base, identity.stride, identity.charpoly
+    trinomial = list(map(sub, (0, *base), (*base, 0)))  # (X-1) * base
+    width = (len(charpoly) - 1) * stride + 1
     # (X-1) * composed = X * composed - composed: the two never share an
-    # exponent, since k >= 2
+    # exponent, since the stride is 2 or more
     numerator = [0] * (width + 1)
-    numerator[1::k] = stride
-    numerator[::k] = map(neg, stride)
+    numerator[1::stride] = charpoly
+    numerator[::stride] = map(neg, charpoly)
     division_quotient, scaled_remainder = trinomial_divmod(numerator, trinomial)
     del numerator  # k*k + 2 entries that no later step reads
     # -(r[0] + ... + r[i]) at X**i: the scaled remainder over X-1, less the
@@ -290,12 +285,10 @@ def certify_divisibility(k: int) -> Certificate:
     sums = column_sums(quotient, k)
     cases, expected = case_analysis(columns)
     target = [0] * width
-    target[::k] = map(neg, stride)
+    target[::stride] = map(neg, charpoly)
     target = tuple(target)
     return Certificate(
-        k=k,
-        base_poly=base,
-        stride_poly=stride,
+        identity=identity,
         quotient=quotient,
         remainder=tuple(remainder),
         division_matches=not any(trinomial[1:-2])

@@ -223,9 +223,12 @@ def check_identity(
     the recurrence in both directions and its k values at the seeds decide
     it everywhere, at a cost that does not depend on where [lo, hi] lies.
     Otherwise they hold only above the seeds, and the k values at lo decide
-    r for every n >= lo.  All k zero, and the identity holds; else r is run
-    by the recurrence from those k values over the range, and each index
-    where it is nonzero is reported.
+    r for every n >= lo; they read a from lo - stride*len(coefficients), so
+    lo below rec.base + stride*len(coefficients) raises NotSolvableBackward
+    (Jacobsthal, [5, -4] at stride 2: it raises at lo = 0 and 3, not 4).
+    All k zero, and the identity holds; else r is run by the recurrence
+    from those k values over the range, and each index where it is nonzero
+    is reported.
     """
     coefficients = tuple(coefficients)
     if not coefficients:

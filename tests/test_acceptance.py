@@ -16,14 +16,12 @@ from kbonacci.cli import main
 from kbonacci.decimation import decimated_charpoly, recurrence_coefficients
 from kbonacci.prover import (
     CASE_LABELS,
-    base_charpoly,
     case_analysis,
     certify_divisibility,
     column_sums,
     failed_columns,
-    identity_coefficients,
+    kstep_identity,
     quotient_poly,
-    stride_charpoly,
 )
 from kbonacci.sequences import (
     LinearRecurrence,
@@ -33,7 +31,14 @@ from kbonacci.sequences import (
 )
 from kbonacci.triangles import coeff_rows, diff_rows
 from polyref import RefPoly
-from test_prover import column_table, coeff_entry, diff_entry, matrix_rows, negated_target
+from test_prover import (
+    coeff_entry,
+    column_table,
+    composed_charpoly,
+    diff_entry,
+    matrix_rows,
+    negated_target,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -127,9 +132,9 @@ def test_criterion_02_order_five_quotient():
 def test_criterion_03_symbolic_certification():
     with criterion(3, "symbolic certification, orders 2..25", 30.0):
         for k in range(2, 26):
-            base = RefPoly(base_charpoly(k))
+            base = RefPoly(kstep_identity(k).base)
             quotient = RefPoly(quotient_poly(column_table(coeff_rows(k))))
-            composed = RefPoly(stride_charpoly(k)).compose_power(k)
+            composed = composed_charpoly(k)
             assert (-base) * quotient == -composed, k
             assert divmod(composed, base) == (quotient, RefPoly()), k
 
@@ -138,7 +143,7 @@ def test_criterion_04_matrix_verification():
     with criterion(4, "product-matrix verification, orders 2..12", 10.0):
         for k in range(2, 13):
             sums = column_sums(quotient_poly(column_table(coeff_rows(k))), k)
-            target = -(RefPoly(stride_charpoly(k)).compose_power(k))
+            target = -composed_charpoly(k)
             assert list(sums) == list(target.coeffs), k  # degree k*k
         columns5 = column_table(coeff_rows(5))
         quotient5 = quotient_poly(columns5)
@@ -161,13 +166,15 @@ def test_criterion_05_case_proof_checker():
 def test_criterion_06_oracle_equivalence():
     with criterion(6, "companion-matrix oracle, orders 2..12", 20.0):
         for k in range(2, 13):
-            assert decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k), k
+            identity = kstep_identity(k)
+            decimated = decimated_charpoly(identity.base, identity.stride)
+            assert decimated == identity.charpoly, k
 
 
 def test_criterion_07_numeric_identity():
     with criterion(7, "numeric identity, orders 2..10, 5 seeds", 30.0):
         for k in range(2, 11):
-            coefficients = identity_coefficients(k)
+            coefficients = kstep_identity(k).coefficients
             for seed in (1, 2, 3, 4, 5):
                 report = check_identity(
                     random_kbonacci(k, seed), coefficients, k, -20, 100
@@ -181,12 +188,12 @@ def test_criterion_07_numeric_identity():
 
 def test_criterion_08_worked_examples():
     with criterion(8, "low-order worked examples", 10.0):
-        assert identity_coefficients(2) == [3, -1]
-        assert identity_coefficients(3) == [7, -5, 1]
-        assert identity_coefficients(4) == [15, -17, 7, -1]
+        assert kstep_identity(2).coefficients == [3, -1]
+        assert kstep_identity(3).coefficients == [7, -5, 1]
+        assert kstep_identity(4).coefficients == [15, -17, 7, -1]
         for k in (2, 3, 4):
             report = check_identity(
-                kbonacci(k), identity_coefficients(k), k, -20, 100
+                kbonacci(k), kstep_identity(k).coefficients, k, -20, 100
             )
             assert report.ok, k
         window3 = kbonacci(3).window(0, 18)

@@ -15,10 +15,9 @@ from hypothesis import given, settings, strategies as st
 import kbonacci
 from kbonacci import cli
 from kbonacci.cli import FORMATS, _poly_text, main
-from kbonacci.prover import certify_divisibility, stride_charpoly
+from kbonacci.prover import certify_divisibility
 from kbonacci.sequences import IdentityReport
-from polyref import RefPoly
-from test_prover import matrix_rows
+from test_prover import composed_charpoly, matrix_rows
 from test_triangles import coeff_row_from_charpoly, diff_row_from_binomial
 
 DATA = Path(__file__).parent / "data"
@@ -203,7 +202,7 @@ class TestProve:
         for k in range(2, 31):
             code, out = run_cli(capsys, "prove", "--k", str(k), "--format", fmt)
             assert code == 0
-            composed = RefPoly(stride_charpoly(k)).compose_power(k)
+            composed = composed_charpoly(k)
             assert label + _poly_text(composed.coeffs) in out.splitlines(), k
 
     def test_large_order(self, capsys):
@@ -534,7 +533,7 @@ def matrix_row_by_row(fmt: str, cert) -> str:
     """What `prove --show-matrix` writes for the product matrix of cert,
     made from its rows of cells one at a time: the reference for the writer
     that shares the quotient's text between rows."""
-    k = cert.k
+    k = cert.identity.k
     rows = [list(row) for row in matrix_rows(cert.quotient, k)]
     if fmt == "json":
         return json.dumps(rows, indent=2).replace("\n", "\n    ")

@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 from kbonacci import decimation
 from kbonacci.decimation import decimated_charpoly, recurrence_coefficients
 from kbonacci.errors import BadStride, InexactNewtonStep, NotMonic
-from kbonacci.prover import base_charpoly, identity_charpoly, stride_charpoly
+from kbonacci.prover import kstep_identity
 from kbonacci.sequences import LinearRecurrence, check_identity
 from polyref import RefPoly
 
@@ -223,7 +223,7 @@ class TestCharPoly:
         assert char_poly(IntMatrix.identity(3)) == (-1, 3, -3, 1)
 
     def test_companion_round_trip(self):
-        poly = base_charpoly(3)
+        poly = kstep_identity(3).base
         assert char_poly(companion_matrix(poly)) == poly
 
     def test_inexact_step_raises(self, monkeypatch):
@@ -237,16 +237,16 @@ class TestCharPoly:
 
         monkeypatch.setattr(RefPoly, "__divmod__", inexact)
         with pytest.raises(ArithmeticError, match=r"r=0, i=1, j=1"):
-            char_poly(companion_matrix(base_charpoly(3)))
+            char_poly(companion_matrix(kstep_identity(3).base))
 
     @pytest.mark.parametrize("degree", range(2, 13))
     def test_companion_round_trip_all_degrees(self, degree):
-        poly = base_charpoly(degree)
+        poly = kstep_identity(degree).base
         assert char_poly(companion_matrix(poly)) == poly
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6))
     def test_companion_round_trip_random_monic(self, coefficients):
-        poly = identity_charpoly(coefficients)
+        poly = (*(-c for c in reversed(coefficients)), 1)
         assert char_poly(companion_matrix(poly)) == poly
 
     def test_permutation_matrix(self):
@@ -268,7 +268,7 @@ def poly_at_matrix(poly: tuple[int, ...], m: IntMatrix) -> IntMatrix:
 class TestCayleyHamilton:
     @pytest.mark.parametrize("dim", range(2, 7))
     def test_companion_annihilated_by_own_charpoly(self, dim):
-        m = companion_matrix(base_charpoly(dim))
+        m = companion_matrix(kstep_identity(dim).base)
         assert poly_at_matrix(char_poly(m), m).is_zero()
 
     def test_dense_matrix_annihilated(self):
@@ -304,12 +304,19 @@ def dense_decimated_charpoly(charpoly: tuple[int, ...], stride: int) -> tuple[in
 # --- tests of the power-sum route --------------------------------------------
 
 
+def decimates_to_triangle_row(k: int) -> bool:
+    """Whether the order-k base, decimated at the identity's stride, gives
+    the charpoly read from triangle row k."""
+    identity = kstep_identity(k)
+    return decimated_charpoly(identity.base, identity.stride) == identity.charpoly
+
+
 class TestDecimation:
     def test_stride_two_fibonacci(self):
-        assert decimated_charpoly(base_charpoly(2), 2) == (1, -3, 1)
+        assert decimated_charpoly(kstep_identity(2).base, 2) == (1, -3, 1)
 
     def test_stride_four(self):
-        assert decimated_charpoly(base_charpoly(4), 4) == stride_charpoly(4)
+        assert decimates_to_triangle_row(4)
 
     def test_stride_one_is_identity(self):
         poly = (-1, -2, 1)
@@ -317,12 +324,12 @@ class TestDecimation:
 
     def test_bad_stride(self):
         with pytest.raises(BadStride):
-            decimated_charpoly(base_charpoly(2), 0)
+            decimated_charpoly(kstep_identity(2).base, 0)
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_matches_triangle_route(self, k):
         # triangle-free derivation of the same subsequence charpoly
-        assert decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k)
+        assert decimates_to_triangle_row(k)
 
     def test_pell_generalization(self):
         pell_poly = (-1, -2, 1)  # X^2 - 2X - 1
@@ -363,25 +370,26 @@ class TestPowerSums:
 
     @pytest.mark.parametrize("k", range(2, 41))
     def test_matches_triangle_route_to_order_forty(self, k):
-        assert decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k)
+        assert decimates_to_triangle_row(k)
 
     @pytest.mark.parametrize("k", [*range(41, 61), 150])
     def test_matches_triangle_route_above_forty(self, k):
         # the power sums of p_k step by P_{m+1} = 2 P_m - P_{m-k}
-        assert decimated_charpoly(base_charpoly(k), k) == stride_charpoly(k)
+        assert decimates_to_triangle_row(k)
 
     def test_order_150_in_bounded_memory(self):
         # the walk holds the last k + 1 power sums besides the k it samples,
         # not all k^2 of them
         for k, bound in [(150, 15_000_000), (200, 4_000_000)]:
+            identity = kstep_identity(k)
             tracemalloc.start()
             try:
-                decimated = decimated_charpoly(base_charpoly(k), k)
+                decimated = decimated_charpoly(identity.base, identity.stride)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < bound, k
-            assert decimated == stride_charpoly(k)
+            assert decimated == identity.charpoly
 
     @given(run_coefficients(), st.integers(1, 6))
     def test_matches_dense_power_sums(self, coefficients, stride):
@@ -398,5 +406,5 @@ class TestPowerSums:
 
         monkeypatch.setattr(decimation, "divmod", inexact, raising=False)
         with pytest.raises(ArithmeticError, match=r"inexact Newton step m=1") as info:
-            decimated_charpoly(base_charpoly(3), 2)
+            decimated_charpoly(kstep_identity(3).base, 2)
         assert info.type is InexactNewtonStep

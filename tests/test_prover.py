@@ -11,18 +11,16 @@ from hypothesis import given, strategies as st
 
 from kbonacci import prover
 from kbonacci.cli import _poly_text, main
-from kbonacci.errors import EmptyCoefficients, NegativeRow, OrderTooSmall
+from kbonacci.decimation import recurrence_coefficients
+from kbonacci.errors import NegativeRow, OrderTooSmall
 from kbonacci.prover import (
     CASE_LABELS,
-    base_charpoly,
     case_analysis,
     certify_divisibility,
     column_sums,
     failed_columns,
-    identity_charpoly,
-    identity_coefficients,
+    kstep_identity,
     quotient_poly,
-    stride_charpoly,
     trinomial_divmod,
 )
 from kbonacci.triangles import coeff_rows
@@ -69,10 +67,17 @@ def matrix_rows(quotient: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...
     return tuple(rows)
 
 
+def composed_charpoly(k: int) -> RefPoly:
+    """charpoly(X**stride) of the order-k identity: the identity's own
+    characteristic polynomial, which base divides."""
+    identity = kstep_identity(k)
+    return RefPoly(identity.charpoly).compose_power(identity.stride)
+
+
 def negated_target(k: int) -> tuple[int, ...]:
-    """The coefficients of -stride_charpoly(k)(X**k): what every column of
-    the product matrix must sum to."""
-    return tuple(-c for c in RefPoly(stride_charpoly(k)).compose_power(k).coeffs)
+    """The coefficients of -charpoly(X**stride): what every column of the
+    product matrix must sum to."""
+    return tuple(-c for c in composed_charpoly(k).coeffs)
 
 
 def failed_columns_by_walk(
@@ -187,7 +192,7 @@ class TestPolynomials:
         ],
     )
     def test_base_charpoly(self, k, text):
-        assert _poly_text(base_charpoly(k)) == text
+        assert _poly_text(kstep_identity(k).base) == text
 
     @pytest.mark.parametrize(
         "k, text",
@@ -198,15 +203,16 @@ class TestPolynomials:
         ],
     )
     def test_stride_charpoly(self, k, text):
-        assert _poly_text(stride_charpoly(k)) == text
+        assert _poly_text(kstep_identity(k).charpoly) == text
 
     def test_quotient_poly_order_two(self):
         assert quotient_poly(column_table(coeff_rows(2))) == (-1, 1, 1)  # X^2 + X - 1
 
     def test_quotient_poly_order_three(self):
         # brute-force long division is the oracle for the assembled quotient
-        composed = RefPoly(stride_charpoly(3)).compose_power(3)
-        division_quotient, remainder = divmod(composed, RefPoly(base_charpoly(3)))
+        division_quotient, remainder = divmod(
+            composed_charpoly(3), RefPoly(kstep_identity(3).base)
+        )
         assert not remainder
         assert quotient_poly(column_table(coeff_rows(3))) == division_quotient.coeffs
         assert _poly_text(quotient_poly(column_table(coeff_rows(3)))) == "X^6+X^5+2X^4-3X^3-X+1"
@@ -227,7 +233,7 @@ class TestPolynomials:
         def cases(k):
             return case_analysis(column_table(coeff_rows(k)))
 
-        for fn in (base_charpoly, stride_charpoly, quotient, identity_coefficients, cases):
+        for fn in (kstep_identity, certify_divisibility, quotient, cases):
             with pytest.raises(OrderTooSmall):
                 fn(k)
 
@@ -242,30 +248,41 @@ class TestIdentityCoefficients:
         ],
     )
     def test_known_orders(self, k, expected):
-        assert identity_coefficients(k) == expected
+        identity = kstep_identity(k)
+        assert identity.coefficients == expected
+        assert identity.stride == identity.k == k
 
     def test_order_600_in_bounded_memory(self):
         # only the last row is kept: the rows above it would be about 18 MB
         tracemalloc.start()
         try:
-            coefficients = identity_coefficients(600)
+            identity = kstep_identity(600)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
         # C[n][1] = 2**n - 1, and row n sums to n - 1 with C[n][0] = -1
+        coefficients = identity.coefficients
         assert len(coefficients) == 600
         assert coefficients[0] == 2**600 - 1
         assert sum(coefficients) == 600
 
     def test_identity_charpoly(self):
-        assert identity_charpoly([1, 1]) == (-1, -1, 1)
-        assert identity_charpoly([3, -1]) == (1, -3, 1)
-        assert identity_charpoly([5]) == (-5, 1)
+        # charpoly is X**k - sum c_i X**(k-i) of the record's coefficients
+        for k in range(2, 31):
+            identity = kstep_identity(k)
+            assert recurrence_coefficients(identity.charpoly) == identity.coefficients, k
 
-    def test_identity_charpoly_empty(self):
-        with pytest.raises(EmptyCoefficients):
-            identity_charpoly([])
+    def test_fields_are_the_documented_ones(self):
+        # the record is built by keyword, so a misspelled field shows here
+        identity = kstep_identity(5)
+        assert set(vars(identity)) == IDENTITY_FIELDS
+        assert identity.base == (-1, -1, -1, -1, -1, 1)
+
+    def test_both_builders_agree(self):
+        # the certificate reads row k from its own column table
+        for k in range(2, 61):
+            assert kstep_identity(k) == certify_divisibility(k).identity, k
 
 
 class TestClassification:
@@ -324,7 +341,7 @@ class TestMatrix:
 
     def test_column_sums_reproduce_composed_polynomial(self):
         for k in range(2, 13):
-            target = -(RefPoly(stride_charpoly(k)).compose_power(k))
+            target = -composed_charpoly(k)
             assert list(matrix_sums(list(coeff_rows(k)))) == list(target.coeffs)
 
     def test_block_column_sums_are_triangle_entries(self):
@@ -504,10 +521,10 @@ class TestCaseSums:
             failed_columns(cases, expected, matrix_sums(rows), target)
 
 
+IDENTITY_FIELDS = {"k", "base", "stride", "coefficients", "charpoly"}
+
 CERTIFICATE_FIELDS = {
-    "k",
-    "base_poly",
-    "stride_poly",
+    "identity",
     "quotient",
     "remainder",
     "division_matches",
@@ -523,7 +540,20 @@ class TestCertificate:
         # the record is built by keyword, so a misspelled field shows here
         cert = certify_divisibility(5)
         assert set(vars(cert)) == CERTIFICATE_FIELDS
-        assert cert.base_poly == base_charpoly(5)
+        assert cert.identity == kstep_identity(5)
+
+    def test_held_memory_is_bounded(self):
+        # what a certificate keeps once it returns: the quotient, the column
+        # sums and cases, and no triangle table, which would hold about 3.5
+        # MB more at order 300
+        tracemalloc.start()
+        try:
+            cert = certify_divisibility(300)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cert.ok
+        assert held < 5_000_000
 
     def test_order_two(self):
         cert = certify_divisibility(2)
@@ -566,9 +596,9 @@ class TestCertificate:
 
     def test_product_and_division_both_directions(self):
         for k in range(2, 13):
-            base = RefPoly(base_charpoly(k))
+            base = RefPoly(kstep_identity(k).base)
             quotient = RefPoly(quotient_poly(column_table(coeff_rows(k))))
-            composed = RefPoly(stride_charpoly(k)).compose_power(k)
+            composed = composed_charpoly(k)
             assert (-base) * quotient == -composed
             assert divmod(composed, base) == (quotient, RefPoly())
 
@@ -581,8 +611,8 @@ class TestDenseOracle:
         assert cert.quotient == quotient
         # every cell written out and added up column by column
         assert cert.column_sums == tuple(map(sum, zip(*matrix_rows(quotient, k))))
-        composed = RefPoly(stride_charpoly(k)).compose_power(k)
-        product = (-RefPoly(base_charpoly(k))) * RefPoly(quotient)
+        composed = composed_charpoly(k)
+        product = (-RefPoly(cert.identity.base)) * RefPoly(quotient)
         assert cert.product_matches is (product == -composed)
         assert cert.product_matches
 
@@ -618,13 +648,17 @@ class TestDenseOracle:
     def test_nonzero_remainder_matches_plain_division(self, k, offset, monkeypatch, capsys):
         # a constant offset leaves the division quotient equal to the explicit
         # one, so only the remainder can fail the division route
-        def off_by_some(coefficients):
-            return (RefPoly(identity_charpoly(coefficients)) + RefPoly(offset)).coeffs
+        base = kstep_identity(k).base
+        real = prover.Identity
 
-        monkeypatch.setattr(prover, "identity_charpoly", off_by_some)
+        def off_by_some(**fields):
+            fields["charpoly"] = (RefPoly(fields["charpoly"]) + RefPoly(offset)).coeffs
+            return real(**fields)
+
+        monkeypatch.setattr(prover, "Identity", off_by_some)
         cert = certify_divisibility(k)
-        composed = RefPoly(cert.stride_poly).compose_power(k)
-        plain_quotient, plain_remainder = divmod(composed, RefPoly(base_charpoly(k)))
+        composed = RefPoly(cert.identity.charpoly).compose_power(k)
+        plain_quotient, plain_remainder = divmod(composed, RefPoly(base))
         assert plain_remainder
         # raw tuples, so a remainder left with zeros at its top fails
         assert cert.remainder == plain_remainder.coeffs
@@ -654,8 +688,8 @@ class TestTrinomialDivision:
         # (X-1) * s_k(X**k) is divisible by the trinomial (X-1) * p_k; an
         # offset below its leading term moves the remainder and the
         # quotient's low terms
-        trinomial = X_MINUS_ONE * RefPoly(base_charpoly(k))
-        composed = RefPoly(stride_charpoly(k)).compose_power(k)
+        trinomial = X_MINUS_ONE * RefPoly(kstep_identity(k).base)
+        composed = composed_charpoly(k)
         numerator = X_MINUS_ONE * composed + RefPoly(offset[: k * k])
         quotient, remainder = trinomial_divmod(list(numerator.coeffs), list(trinomial.coeffs))
         assert (RefPoly(quotient), RefPoly(remainder)) == divmod(numerator, trinomial)
@@ -680,14 +714,15 @@ class TestTrinomialDivision:
         # 1, -2, 1 of the trinomial (k >= 3), so a division by those three
         # alone would still return the explicit quotient and remainder 0:
         # only the middle terms show that base is not p_k
-        real = prover.base_charpoly
+        real = prover.Identity
 
-        def off_by_one(k):
-            coeffs = list(real(k))
+        def off_by_one(**fields):
+            coeffs = list(fields["base"])
             coeffs[1] += 1
-            return tuple(coeffs)
+            fields["base"] = tuple(coeffs)
+            return real(**fields)
 
-        monkeypatch.setattr(prover, "base_charpoly", off_by_one)
+        monkeypatch.setattr(prover, "Identity", off_by_one)
         cert = certify_divisibility(k)
         assert not cert.division_matches
         assert not cert.ok

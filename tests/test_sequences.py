@@ -20,7 +20,7 @@ from kbonacci.errors import (
 )
 from kbonacci import sequences
 from kbonacci.decimation import decimated_charpoly, recurrence_coefficients
-from kbonacci.prover import identity_coefficients
+from kbonacci.prover import kstep_identity
 from kbonacci.sequences import (
     IdentityReport,
     LinearRecurrence,
@@ -191,7 +191,7 @@ class TestCheckIdentity:
 
         monkeypatch.setattr(LinearRecurrence, "window", counting_window)
         k = 25
-        coefficients = identity_coefficients(k)
+        coefficients = kstep_identity(k).coefficients
         report = check_identity(random_kbonacci(k, seed), coefficients, k, -400, 11000)
         assert report.ok
         assert report.checked == 11401
@@ -214,9 +214,11 @@ class TestHoldsForAllN:
         assert report.ok
         assert not report.holds_for_all_n
         assert check_identity(rec, [5, -4], 2, 900, 1000).ok
-        # the check reaches below the base, where the sequence is not integral
-        with pytest.raises(NotSolvableBackward):
-            check_identity(rec, [5, -4], 2, 0, 50)
+        # the check reaches below the base, where the sequence is not integral,
+        # unless lo is at least base + stride * len(coefficients) = 4
+        for lo in (0, 3):
+            with pytest.raises(NotSolvableBackward):
+                check_identity(rec, [5, -4], 2, lo, 50)
 
     def test_trailing_zero_is_forward_only(self):
         # a(n) = a(n-1): 0, 1, 1, 1, ...; a(n) = a(n-2) holds from n = 3 on
@@ -248,7 +250,7 @@ class TestRandomInstances:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_identity_independent_of_seed_values(self, k):
-        coefficients = identity_coefficients(k)
+        coefficients = kstep_identity(k).coefficients
         for seed in (1, 2):
             report = check_identity(random_kbonacci(k, seed), coefficients, k, -20, 100)
             assert report.ok
@@ -464,7 +466,7 @@ def report_fields(report):
 @pytest.mark.parametrize(
     "case",
     [
-        (kbonacci(3), identity_coefficients(3), 3, 0, 10),  # passes
+        (kbonacci(3), kstep_identity(3).coefficients, 3, 0, 10),  # passes
         (kbonacci(2), [3, -2], 2, 4, 10),  # fails at every index
     ],
 )
@@ -518,7 +520,7 @@ class TestCheckAtTheSeeds:
         # the last coefficient one too high leaves r(n) = -a(n - k*k), which
         # is 0 at the first k - 1 indices above the seeds when they sit k*k
         # above the k-step zeros, and 1 at the k-th
-        coefficients = identity_coefficients(k)
+        coefficients = kstep_identity(k).coefficients
         coefficients[-1] += 1
         rec = LinearRecurrence((1,) * k, kbonacci(k).window(k * k, k * k + k - 1), base=k * k)
         report = check_identity(rec, coefficients, k, -30, 30)
@@ -570,7 +572,7 @@ class TestLargeOrders:
     @pytest.mark.parametrize("k", [25, 40])
     def test_identity_holds_at_large_order(self, k):
         rec = random_kbonacci(k, 1)
-        report = check_identity(rec, identity_coefficients(k), k, -200, 2000)
+        report = check_identity(rec, kstep_identity(k).coefficients, k, -200, 2000)
         assert report.ok
 
 

@@ -125,9 +125,7 @@ def test_cli_request_without_site_imports_no_typing_or_json():
 
 # Defined in src/kbonacci but reached by no CLI request, each kept for the
 # reason given
-UNREACHED = {
-    "kbonacci.prover.stride_charpoly": "the paper's s_k, for a uniform certificate over k",
-}
+UNREACHED: dict[str, str] = {}
 
 
 def test_cli_reaches_every_callable():
